@@ -14,11 +14,11 @@ def test_aqm_rescues_bloated_uplink(benchmark):
     def run():
         return run_registered("aqm-voip")
 
-    results = run_once(benchmark, run).to_mapping()
-    rows = [("%s @ %d pkts" % (discipline, packets),
+    results = run_once(benchmark, run)
+    rows = [("%s @ %d pkts" % (cell.discipline, cell.buffer_packets),
              "%.1f" % cell["talks"], "%.1f" % cell["listens"],
              "%.0f ms" % (cell["delay"]["talks"] * 1000))
-            for (workload, packets, discipline), cell in results.items()]
+            for cell in results]
     comparison_table(
         "A1: VoIP under upload congestion per queue discipline",
         ("queue @ buffer", "talks MOS", "listens MOS", "mouth-to-ear"), rows)

@@ -6,9 +6,9 @@ The grid is the registered ``fig11`` sweep (full workload axis at
 
 from repro.core.paper_data import FIG11
 from repro.core.registry import get
-from repro.core.web_study import render_fig10
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def test_fig11(benchmark):
@@ -19,10 +19,8 @@ def test_fig11(benchmark):
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig10(results, "backbone", buffers, workloads=workloads,
-                       title="Figure 11"))
+    results = run_once(benchmark, run)
+    print_figure("fig11", results)
     rows = []
     for workload in workloads:
         for packets in buffers:

@@ -7,10 +7,10 @@ workload axis automatically.
 
 from repro.core.paper_data import FIG4_UP_ONLY_UPLINK
 from repro.core.registry import get
-from repro.core.study import render_fig4
 from repro.qoe.scales import g114_class
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def test_fig4_upstream(benchmark):
@@ -21,9 +21,8 @@ def test_fig4_upstream(benchmark):
     def run():
         return run_registered("fig4-up")
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig4(results, "up", buffers=buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig4-up", results)
     rows = []
     for workload in workloads:
         for packets in buffers:
@@ -47,7 +46,7 @@ def test_fig4_downstream_only(benchmark):
     def run():
         return run_registered("fig4-down")
 
-    results = run_once(benchmark, run).to_mapping()
+    results = run_once(benchmark, run)
     # Figure 4a envelope: downlink mean delay < 200 ms at every size,
     # uplink (pure ACK traffic) near zero.
     for packets in spec.buffer_axis():

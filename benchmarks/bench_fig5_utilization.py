@@ -4,9 +4,8 @@ The grid is the registered ``fig5`` sweep — the same cells (and cache
 entries) that ``python -m repro run fig5`` executes.
 """
 
-from repro.core.study import render_fig5
-
-from benchmarks.common import fidelity_line, run_once, run_registered
+from benchmarks.common import (fidelity_line, print_figure, run_once,
+                               run_registered)
 
 
 def test_fig5(benchmark):
@@ -14,11 +13,10 @@ def test_fig5(benchmark):
         return run_registered("fig5")
 
     results = run_once(benchmark, run)
-    # Typed records delegate QosReport attribute access, so the renderer
-    # and the assertions below work on them directly.
+    # Typed records delegate QosReport attribute access, so the
+    # assertions below work on them directly.
     by_packets = {record.buffer_packets: record for record in results}
-    print()
-    print(render_fig5(by_packets))
+    print_figure("fig5", results)
     fidelity_line("fig5", results)
     # Paper shape: the uplink is pinned near 100% at every size; the
     # downlink suffers when the uplink buffer bloats the ACK path, and

@@ -6,10 +6,9 @@ bufferbloat case) and ``fig7a`` (download activity) sweeps.
 
 from repro.core.paper_data import FIG7A_LISTENS, FIG7B_LISTENS, FIG7B_TALKS
 from repro.core.registry import get
-from repro.core.voip_study import render_fig7
 
 from benchmarks.common import (comparison_table, fidelity_line,
-                               run_once, run_registered)
+                               print_figure, run_once, run_registered)
 
 
 def test_fig7b_upload_activity(benchmark):
@@ -21,11 +20,9 @@ def test_fig7b_upload_activity(benchmark):
     def run():
         return run_registered(spec.name)
 
-    result_set = run_once(benchmark, run)
-    results = result_set.to_mapping()
-    print()
-    print(render_fig7(results, "up", buffers, workloads=workloads))
-    fidelity_line("fig7b", result_set)
+    results = run_once(benchmark, run)
+    print_figure("fig7b", results)
+    fidelity_line("fig7b", results)
     rows = []
     for workload in workloads:
         for packets in buffers:
@@ -55,11 +52,9 @@ def test_fig7a_download_activity(benchmark):
     def run():
         return run_registered(spec.name)
 
-    result_set = run_once(benchmark, run)
-    results = result_set.to_mapping()
-    print()
-    print(render_fig7(results, "down", buffers, workloads=workloads))
-    fidelity_line("fig7a", result_set)
+    results = run_once(benchmark, run)
+    print_figure("fig7a", results)
+    fidelity_line("fig7a", results)
     rows = []
     for workload in workloads:
         for packets in buffers:

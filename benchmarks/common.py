@@ -22,39 +22,36 @@ and ``REPRO_PROGRESS=1`` for per-cell progress/ETA lines.
 """
 
 from repro import api
-from repro.core.registry import resolve_scale
-from repro.runner import GridRunner
+from repro.core.registry import get, resolve_scale
+from repro.report.figures import REPORT_FIGURES
 
 
-def scale():
-    """Global fidelity knob (``REPRO_SCALE``, float, default 1.0)."""
-    return resolve_scale()
-
-
-def grid_runner(**kwargs):
-    """The benchmarks' shared grid configuration (env-driven defaults)."""
-    return GridRunner(**kwargs)
-
-
-def run_registered(name, runner=None):
+def run_registered(name):
     """Run a registered sweep through the stable facade.
 
-    Returns the typed :class:`repro.results.set.ResultSet`; call
-    ``.to_mapping()`` where a renderer wants the legacy ``{cell key:
-    value}`` dict.  Same tasks, same cache entries as ``python -m repro
-    run <name>``.
+    Returns the typed :class:`repro.results.set.ResultSet`, indexed by
+    cell key (``results[(workload, buffer)]``).  Same tasks, same cache
+    entries as ``python -m repro run <name>``.
     """
-    return api.run_sweep(name, runner=runner or grid_runner())
+    return api.run_sweep(name)
+
+
+def print_figure(name, results):
+    """Print the text view of report figure ``name`` — what ``python -m
+    repro figures <name>`` shows — drawn from its sweep's ``results``."""
+    figure = REPORT_FIGURES[name]
+    print()
+    print(figure.text(results, get(figure.sweep), resolve_scale()))
 
 
 def scaled_duration(base, minimum=4.0):
     """Simulated seconds for a measurement window at the current scale."""
-    return max(minimum, base * scale())
+    return max(minimum, base * resolve_scale())
 
 
 def scaled_count(base, minimum=1):
     """Repetition count at the current scale."""
-    return max(minimum, int(round(base * scale())))
+    return max(minimum, int(round(base * resolve_scale())))
 
 
 def run_once(benchmark, fn):

@@ -14,7 +14,7 @@ Run:  python examples/bufferbloat_voip.py
 
 from repro import api
 from repro.core.registry import access, adhoc_sweep
-from repro.core.voip_study import render_fig7
+from repro.report.figures import REPORT_FIGURES
 
 
 def main(buffers=(8, 32, 64, 256), workloads=("noBG", "long-few", "long-many"),
@@ -26,8 +26,8 @@ def main(buffers=(8, 32, 64, 256), workloads=("noBG", "long-few", "long-many"),
         buffers=buffers, seed=3, warmup=warmup, duration=duration,
         params=(("calls", 1), ("directions", ("talks", "listens"))))
     results = api.run_sweep(spec, scale=1.0, runner=runner)
-    print(render_fig7(results.to_mapping(), "up", buffers,
-                      workloads=workloads))
+    # The text view of the report's Figure 7b, drawn over this grid.
+    print(REPORT_FIGURES["fig7b"].text(results, spec, 1.0))
     print()
     print("Markers: + fine   o degraded   ! bad (Figure 6a bands)")
     print("Compare with the paper's Figure 7b: talks collapses to ~1.0 at")

@@ -10,7 +10,6 @@ into the paper's experiment grid:
 * :mod:`repro.core.workloads` — applies a scenario to a built network.
 * :mod:`repro.core.experiment` — single-cell experiment runners (QoS and
   per-application QoE).
-* :mod:`repro.core.study` — grid sweeps producing the paper's heatmaps.
 * :mod:`repro.core.registry` — the declarative sweep catalog behind the
   benchmarks and the ``python -m repro`` CLI.
 * :mod:`repro.core.paper_data` — the numbers printed in the paper, for

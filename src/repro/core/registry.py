@@ -6,9 +6,9 @@ The paper's artifacts (and our extensions) are all grids of independent
 grid once, as a named :class:`SweepSpec`, and everything else consumes
 that declaration:
 
-* the study-layer grid builders (:mod:`repro.core.study`,
-  :mod:`repro.core.voip_study`, ...) construct ad-hoc specs from their
-  arguments and run them;
+* :func:`repro.api.run_sweep` runs a registered (or ad-hoc, see
+  :func:`adhoc_sweep`) spec and returns a typed
+  :class:`repro.results.set.ResultSet`;
 * the benchmarks look their artifact up in :data:`REGISTRY` so the
   benchmark grid and the CLI grid are the *same tasks* (bit-identical
   cell hashes, shared result cache);
@@ -16,8 +16,8 @@ that declaration:
   the catalog on the command line.
 
 Specs are frozen, JSON-serializable dataclasses; :meth:`SweepSpec.tasks`
-lowers a spec to :class:`repro.runner.task.CellTask` cells and
-:meth:`SweepSpec.run` executes them through a
+lowers a spec to :class:`repro.runner.task.CellTask` cells, which
+:func:`repro.api.run_sweep` executes through a
 :class:`repro.runner.grid.GridRunner` (parallel + cached).
 
 Scale resolution
@@ -39,7 +39,7 @@ from repro.core.scenarios import (
     backbone_scenario,
     with_loss,
 )
-from repro.runner import CellTask, GridRunner
+from repro.runner import CellTask
 from repro.runner.task import DISCIPLINES, KINDS
 
 
@@ -255,17 +255,6 @@ class SweepSpec:
         return (len(self.scenario_axis(scale)) * len(self.buffer_axis(scale))
                 * axis_cells * len(self.disciplines))
 
-    def run(self, runner=None, scale=None):
-        """Execute the grid; returns ``{cell key: result}``.
-
-        ``runner`` defaults to a fresh :class:`repro.runner.GridRunner`
-        (parallel + cached, env-driven); results are revived study-layer
-        values (:class:`repro.core.experiment.QosReport` for ``qos``
-        cells, plain dicts otherwise).
-        """
-        results = (runner or GridRunner()).run(self.tasks(scale))
-        return dict(zip(self.cells(scale), results))
-
     # -- serialization --------------------------------------------------
     def to_json(self):
         """Plain-JSON dict representation of the full spec."""
@@ -325,11 +314,10 @@ def adhoc_sweep(name, kind, scenarios, buffers, seed=0, warmup=5.0,
                 axes=()):
     """Build an unregistered spec with a *literal* (unscaled) duration.
 
-    The study-layer grid builders use this so their explicit
-    ``duration=`` arguments pass through verbatim: the base duration
-    doubles as its own floor, making :meth:`SweepSpec.resolved_duration`
-    the identity at any ``REPRO_SCALE`` ≤ 1 and callers responsible for
-    scaling above it.
+    Examples and tests use this so an explicit ``duration=`` passes
+    through verbatim: the base duration doubles as its own floor, making
+    :meth:`SweepSpec.resolved_duration` the identity at any
+    ``REPRO_SCALE`` ≤ 1 and callers responsible for scaling above it.
     """
     return SweepSpec(
         name=name, kind=kind, title=name, provenance="ad-hoc",
@@ -337,11 +325,6 @@ def adhoc_sweep(name, kind, scenarios, buffers, seed=0, warmup=5.0,
         warmup=warmup, duration=duration, duration_min=duration,
         params=tuple(params), axes=tuple(axes),
         disciplines=tuple(disciplines))
-
-
-def run_sweep(spec, runner=None, scale=None):
-    """Execute ``spec`` (see :meth:`SweepSpec.run`)."""
-    return spec.run(runner=runner, scale=scale)
 
 
 # ---------------------------------------------------------------------------

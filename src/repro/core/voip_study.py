@@ -14,18 +14,9 @@ unidirectional audio server -> client.
 import numpy as np
 
 from repro.core.experiment import build_network
-from repro.core.registry import ScenarioSpec, adhoc_sweep
-from repro.core.study import _deprecated_grid, _run_mapping
 from repro.core.workloads import apply_workload
 from repro.apps.voip import VoipCall
-from repro.qoe.scales import heat_marker_from_mos
 from repro.qoe.voip import score_call
-from repro.viz.heatmap import render_grid
-
-#: Figure 7 row order.
-FIG7_WORKLOADS = ("noBG", "long-few", "long-many", "short-few", "short-many")
-FIG8_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
-                  "short-overload", "long")
 
 #: Gap between the end of one call and the start of the next.
 CALL_GAP = 0.5
@@ -87,69 +78,3 @@ def median_mos(score_list):
     if not score_list:
         return 0.0
     return float(np.median([score.mos for score in score_list]))
-
-
-def fig7_grid(activity, buffers, workloads=FIG7_WORKLOADS, calls=2,
-              warmup=5.0, duration=8.0, seed=0, runner=None):
-    """Figure 7: access VoIP MOS per (workload, buffer).
-
-    ``activity`` is the background congestion direction: ``"down"``
-    (Figure 7a), ``"up"`` (Figure 7b) or ``"bidir"`` (discussed in
-    §7.2); ``warmup``/``duration`` are simulated seconds, ``buffers``
-    packet counts.  Returns
-    ``{(workload, packets): {"talks": mos, "listens": mos, ...}}``.
-
-    .. deprecated:: use :func:`repro.api.run_sweep`.
-    """
-    _deprecated_grid("fig7_grid", "repro.api.run_sweep(\"fig7a\"/\"fig7b\")")
-    spec = adhoc_sweep(
-        "adhoc-fig7", "voip",
-        scenarios=[ScenarioSpec("access", w, activity) for w in workloads],
-        buffers=buffers, seed=seed, warmup=warmup, duration=duration,
-        params=(("calls", calls), ("directions", ("talks", "listens"))))
-    return _run_mapping(spec, runner)
-
-
-def fig8_grid(buffers, workloads=FIG8_WORKLOADS, calls=2, warmup=5.0,
-              duration=8.0, seed=0, runner=None):
-    """Figure 8: backbone VoIP MOS (unidirectional, server -> client).
-
-    .. deprecated:: use :func:`repro.api.run_sweep`.
-    """
-    _deprecated_grid("fig8_grid", "repro.api.run_sweep(\"fig8\")")
-    spec = adhoc_sweep(
-        "adhoc-fig8", "voip",
-        scenarios=[ScenarioSpec("backbone", w) for w in workloads],
-        buffers=buffers, seed=seed, warmup=warmup, duration=duration,
-        params=(("calls", calls), ("directions", ("listens",))))
-    return _run_mapping(spec, runner)
-
-
-def render_fig7(results, activity, buffers, workloads=FIG7_WORKLOADS):
-    """ASCII Figure 7: two blocks (user talks / user listens)."""
-    def cell(direction):
-        def fn(workload, packets):
-            mos = results[(workload, packets)][direction]
-            return "%.1f%s" % (mos, heat_marker_from_mos(mos))
-        return fn
-
-    talks = render_grid(
-        "Figure 7 (%s activity): median MOS, user TALKS" % activity,
-        list(workloads), list(buffers), cell("talks"),
-        col_header="workload\\buf")
-    listens = render_grid(
-        "Figure 7 (%s activity): median MOS, user LISTENS" % activity,
-        list(workloads), list(buffers), cell("listens"),
-        col_header="workload\\buf")
-    return talks + "\n\n" + listens
-
-
-def render_fig8(results, buffers, workloads=FIG8_WORKLOADS):
-    """ASCII Figure 8."""
-    def fn(workload, packets):
-        mos = results[(workload, packets)]["listens"]
-        return "%.1f%s" % (mos, heat_marker_from_mos(mos))
-
-    return render_grid(
-        "Figure 8: backbone median MOS (server -> client audio)",
-        list(workloads), list(buffers), fn, col_header="workload\\buf")

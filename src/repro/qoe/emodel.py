@@ -55,7 +55,15 @@ def loss_impairment(loss_rate, ie=G711_IE, bpl=G711_BPL_PLC, burst_ratio=1.0):
 
 
 def r_to_mos(r):
-    """G.107 Annex B mapping from the R scale to MOS (1.0 .. 4.5)."""
+    """G.107 Annex B mapping from the R scale to MOS.
+
+    Returns 1.0 for R <= 0 and 4.5 for R >= 100.  In between, the
+    polynomial is not monotone: it dips below 1.0 for 0 < R < 6.515,
+    to its minimum 0.98884 at R = 3.222, and rises from there to 4.5.
+    So the range is [0.98884, 4.5], not [1.0, 4.5]; very bad calls
+    (e.g. golden cell ``bufferbloat-mixed/long-many/64``, MOS 0.9893)
+    score just under 1.0.
+    """
     if r <= 0.0:
         return 1.0
     if r >= 100.0:
@@ -64,7 +72,13 @@ def r_to_mos(r):
 
 
 def mos_to_r(mos):
-    """Numeric inverse of :func:`r_to_mos` (bisection on [0, 100])."""
+    """Numeric inverse of :func:`r_to_mos` (bisection on [0, 100]).
+
+    ``mos`` is clamped to [1.0, 4.5] first.  Because :func:`r_to_mos`
+    dips to 0.98884 near R = 3.2, every MOS in [0.9888, 1.0] maps to the
+    upper branch: R = 6.515, where the polynomial climbs back through
+    1.0, not to R = 0 or to a point on the dip.
+    """
     target = max(1.0, min(4.5, mos))
     lo, hi = 0.0, 100.0
     for __ in range(60):

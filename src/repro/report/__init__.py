@@ -1,16 +1,17 @@
 """Reproduction reports: SVG paper figures + machine-checked fidelity.
 
 This package answers "does this reproduction actually match the paper?"
-without anyone eyeballing ASCII heatmaps.  It has three layers:
+without anyone eyeballing text heatmaps.  It has three layers:
 
 :mod:`repro.report.svg`
     Dependency-free deterministic SVG primitives (heatmaps, line
     charts, tables) sharing the traffic-light colour semantics of the
-    ASCII renderers (:data:`repro.viz.heatmap.MARKER_COLORS`).
+    text renderers (:data:`repro.viz.heatmap.MARKER_COLORS`).
 :mod:`repro.report.figures`
-    One SVG builder per paper artifact (Figures 4–11, Tables 1–2),
-    drawing straight from :class:`repro.results.set.ResultSet`s with
-    the digitized paper value overlaid per cell.
+    One description per paper artifact (Figures 4–11, Tables 1–2),
+    drawn from :class:`repro.results.set.ResultSet`s either as SVG
+    (with the digitized paper value overlaid per cell) or as the text
+    that ``python -m repro figures`` prints.
 :mod:`repro.report.fidelity`
     Per-figure scoring against :data:`repro.core.paper_data.DIGITIZED`
     — rank correlation along the buffer axis, trend agreement at the

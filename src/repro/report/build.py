@@ -216,7 +216,7 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
             results = _load_results(spec, scale, cached_only, runner)
             expected = spec.cell_count(scale)
             present = len(results)
-        markup = figure.build(results, spec, scale)
+        markup = figure.svg(results, spec, scale)
         svg_name = "%s.svg" % name
         with open(os.path.join(out_dir, svg_name), "w",
                   encoding="utf-8") as handle:

@@ -16,8 +16,8 @@ are emitted in call order, and nothing reads the clock or any global
 state.
 
 Colour semantics come from :data:`repro.viz.heatmap.MARKER_COLORS` —
-the same ``+``/``o``/``!`` traffic-light mapping the ASCII renderers
-use — so an SVG heatmap and its ASCII sibling always agree on which
+the same ``+``/``o``/``!`` traffic-light mapping the text view of a
+figure prints — so a figure's SVG and text views always agree on which
 cells are good/degraded/bad.
 """
 

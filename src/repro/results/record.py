@@ -39,7 +39,7 @@ RECORD_TYPES = {}
 
 def revive_qos(payload, buffer_packets):
     """Rebuild a :class:`repro.core.experiment.QosReport` from a qos cell
-    payload — the one reviver shared by the batch runner and records."""
+    payload (what :attr:`QosResult.report` returns)."""
     from repro.core.experiment import QosReport
 
     fields = dict(payload)

@@ -10,8 +10,8 @@ For grids too large to hold in memory, :class:`StreamAggregator` folds
 the records of :meth:`repro.runner.grid.GridRunner.iter_run` into
 per-group running statistics (count/sum/mean/min/max) in constant
 memory; :meth:`ResultSet.from_stream` is the collecting counterpart and
-reproduces batch :meth:`~repro.runner.grid.GridRunner.run` results
-exactly.
+restores task order, so a collected stream equals the batch
+:func:`repro.api.run_sweep` result exactly.
 """
 
 import csv
@@ -56,7 +56,7 @@ class ResultSet:
 
         Records arrive in completion order; when they carry task indices
         (every runner/facade stream does) the set is re-ordered to task
-        order, so the result equals the batch ``run()`` exactly.
+        order, whatever order the cells completed in.
         """
         records = [_unwrap(item) for item in stream]
         if records and all(record.index is not None for record in records):
@@ -265,22 +265,6 @@ class ResultSet:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return text
-
-    def to_mapping(self):
-        """``{cell key: study-layer value}`` — the legacy dict shape.
-
-        QoS records revive to :class:`repro.core.experiment.QosReport`;
-        the QoE kinds map to their payload dicts.  This is what the
-        figure renderers and the deprecated study grid functions consume.
-        """
-        mapping = {}
-        for record in self._records:
-            if record.key is None:
-                raise KeyError("records carry no cell keys — build the "
-                               "set through repro.api.run_sweep")
-            mapping[record.key] = (record.report if record.kind == "qos"
-                                   else record.payload)
-        return mapping
 
 
 def _median(values):

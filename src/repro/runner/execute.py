@@ -1,9 +1,8 @@
 """Executable bodies of grid cells.
 
 :func:`execute_task` runs one :class:`repro.runner.task.CellTask` and
-returns a JSON-ready payload; :func:`revive` turns a payload (fresh or
-cache-loaded) back into the value the study layer expects.  Everything
-here is module-level and picklable so the grid runner can ship tasks to
+returns a JSON-ready payload (:mod:`repro.results.record` wraps it in a
+typed record).  Everything here is module-level and picklable so the grid runner can ship tasks to
 worker processes.  Study-layer imports happen lazily inside the
 executors to keep ``repro.runner`` import-light and cycle-free.
 
@@ -120,14 +119,3 @@ def execute_task(task):
         if was_enabled:
             gc.enable()
 
-
-# ---------------------------------------------------------------------------
-# Revivers: payload -> the value the study layer consumes.
-# ---------------------------------------------------------------------------
-def revive(task, payload):
-    """Rebuild the study-layer result object from a cell payload."""
-    if task.kind == "qos":
-        from repro.results.record import revive_qos
-
-        return revive_qos(payload, task.buffer_packets)
-    return payload

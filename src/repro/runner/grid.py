@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.results.record import record_from_payload
 from repro.runner.cache import ResultCache
-from repro.runner.execute import execute_task, revive
+from repro.runner.execute import execute_task
 
 
 def resolve_workers(workers=None):
@@ -62,24 +62,10 @@ class GridRunner:
                          else progress)
         self._log = log or (lambda message: print(
             message, file=sys.stderr, flush=True))
-        #: Statistics of the most recent :meth:`run` call.
+        #: Statistics of the most recent fully consumed :meth:`iter_run`.
         self.last_stats = {}
 
     # ------------------------------------------------------------------
-    def run(self, tasks):
-        """Execute every task; returns results aligned with ``tasks``.
-
-        A thin collector over :meth:`iter_run`'s payload stream: results
-        are revived study-layer values (``QosReport`` for qos cells,
-        payload dicts otherwise) in task order.
-        """
-        tasks = list(tasks)
-        payloads = [None] * len(tasks)
-        for index, payload in self._iter_payloads(tasks):
-            payloads[index] = payload
-        return [revive(task, payload)
-                for task, payload in zip(tasks, payloads)]
-
     def iter_run(self, tasks, keys=None):
         """Yield ``(task, record)`` pairs as cells complete.
 
@@ -90,28 +76,24 @@ class GridRunner:
         :mod:`repro.results.record` values; ``keys`` optionally supplies
         the sweep cell key stored on each record, aligned with
         ``tasks``.  Each record carries its task ``index``, so
-        :meth:`repro.results.set.ResultSet.from_stream` reproduces batch
-        :meth:`run` ordering exactly.
-
-        Failure semantics match :meth:`run`: on a worker failure the
-        remaining in-flight siblings are still drained (and yielded),
-        then the first failure is re-raised; ``last_stats`` is populated
-        (with ``failed=True``) either way.  ``last_stats`` is written
-        when the stream is fully consumed.
-        """
-        tasks = list(tasks)
-        for index, payload in self._iter_payloads(tasks):
-            key = keys[index] if keys is not None else None
-            yield tasks[index], record_from_payload(
-                tasks[index], payload, key=key, index=index)
-
-    def _iter_payloads(self, tasks):
-        """Yield ``(task index, payload)`` as cells complete.
+        :meth:`repro.results.set.ResultSet.from_stream` restores task
+        order exactly.
 
         Cache hits stream one at a time during the scan (nothing is
         buffered, so a warm million-cell grid aggregates in constant
         memory); pending cells follow from the pool or the serial path.
+        On a worker failure the remaining in-flight siblings are still
+        drained (and yielded), then the first failure is re-raised.
+        ``last_stats`` is written when the stream is fully consumed or
+        fails (with ``failed=True``), not when it is abandoned.
         """
+        tasks = list(tasks)
+
+        def emit(index, payload):
+            key = keys[index] if keys is not None else None
+            return tasks[index], record_from_payload(
+                tasks[index], payload, key=key, index=index)
+
         started = time.monotonic()
         pending = []
         cached = 0
@@ -134,7 +116,7 @@ class GridRunner:
                     pending.append(index)
                 else:
                     cached += 1
-                    yield index, payload
+                    yield emit(index, payload)
             self._say("running %d cells (%d cached) on %d worker%s" % (
                 len(tasks), cached, self.workers,
                 "" if self.workers == 1 else "s"))
@@ -144,7 +126,7 @@ class GridRunner:
                     done += 1
                     self._finish(tasks[index], payload,
                                  done, len(pending), started)
-                    yield index, payload
+                    yield emit(index, payload)
             elif pending:
                 pool_size = min(self.workers, len(pending))
                 failure = None
@@ -166,7 +148,7 @@ class GridRunner:
                             done += 1
                             self._finish(tasks[index], payload,
                                          done, len(pending), started)
-                            yield index, payload
+                            yield emit(index, payload)
                     except GeneratorExit:
                         # The consumer abandoned the stream mid-grid:
                         # drop every queued cell so pool shutdown only

@@ -5,7 +5,7 @@ import pytest
 from repro import api
 from repro.core.registry import access, adhoc_sweep
 from repro.results import ResultSet, StreamAggregator
-from repro.runner import GridRunner, ResultCache
+from repro.runner import GridRunner, ResultCache, execute_task
 
 
 def tiny_spec(buffers=(8, 16), duration=2.0):
@@ -23,12 +23,16 @@ def runner_for(tmp_path, workers=1):
 
 class TestRunSweep:
     def test_matches_legacy_spec_run(self, tmp_path):
+        # The spec-level run this facade replaced: the runner's payloads
+        # for spec.tasks(), keyed by spec.cells().
         spec = tiny_spec()
         results = api.run_sweep(spec, scale=1.0,
                                 runner=runner_for(tmp_path / "a"))
-        legacy = spec.run(runner=runner_for(tmp_path / "b"), scale=1.0)
+        stream = runner_for(tmp_path / "b").iter_run(spec.tasks(1.0))
+        legacy = {key: record.payload
+                  for key, (__, record) in zip(spec.cells(1.0), stream)}
         assert results.keys() == list(legacy)
-        assert results.to_mapping() == legacy
+        assert {record.key: record.payload for record in results} == legacy
 
     def test_accepts_registry_names_and_overrides(self, tmp_path):
         results = api.run_sweep(
@@ -76,17 +80,18 @@ class TestStreaming:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_iter_run_bit_identical_to_run(self, tmp_path, workers):
-        """Satellite: iter_run vs run equivalence at 1 and 4 workers."""
+        """iter_run at 1 and 4 workers vs running each cell directly."""
         spec = tiny_spec(buffers=(8, 12, 16, 24), duration=1.0)
         tasks = spec.tasks(1.0)
-        batch = runner_for(tmp_path / "a", workers=workers).run(tasks)
+        batch = ResultSet.from_payloads(
+            tasks, [execute_task(task) for task in tasks])
         runner = runner_for(tmp_path / "b", workers=workers)
         streamed = ResultSet.from_stream(
             runner.iter_run(tasks, keys=spec.cells(1.0)))
         # from_stream restores task order, so records align with batch.
         assert len(streamed) == len(batch)
-        for record, revived in zip(streamed, batch):
-            assert record.report == revived  # bit-identical payloads
+        for record, direct in zip(streamed, batch):
+            assert record.report == direct.report  # bit-identical payloads
         assert [r.index for r in streamed] == [0, 1, 2, 3]
         assert runner.last_stats["failed"] is False
 
@@ -96,7 +101,8 @@ class TestStreaming:
         spec = tiny_spec(duration=1.0)
         tasks = spec.tasks(1.0)
         cache = ResultCache(directory=str(tmp_path / "cache"), enabled=True)
-        GridRunner(workers=1, cache=cache, progress=False).run(tasks)
+        list(GridRunner(workers=1, cache=cache,
+                        progress=False).iter_run(tasks))
 
         reads = []
         original = cache.get
@@ -128,7 +134,7 @@ class TestStreaming:
         tasks = spec.tasks(1.0)
         cache = ResultCache(directory=str(tmp_path / "cache"), enabled=True)
         warm = GridRunner(workers=1, cache=cache, progress=False)
-        warm.run([tasks[1]])  # only the *second* task is cached
+        list(warm.iter_run([tasks[1]]))  # only the *second* task is cached
         runner = GridRunner(workers=1, cache=cache, progress=False)
         order = [task.buffer_packets
                  for task, __ in runner.iter_run(tasks)]
@@ -154,71 +160,3 @@ class TestLoadSweep:
         with pytest.raises(KeyError, match="not cached"):
             api.load_sweep(spec, scale=1.0, cache=cache, strict=True)
 
-
-class TestDeprecatedStudyShims:
-    """The old dict-returning grid entry points still work, but warn."""
-
-    def nocache_runner(self):
-        return GridRunner(workers=1, use_cache=False, progress=False)
-
-    def test_fig4_shim_warns_and_matches_facade(self, tmp_path):
-        from repro.core.study import fig4_delay_grid
-
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            legacy = fig4_delay_grid("down", buffers=(8,),
-                                     workloads=("noBG",), warmup=0.5,
-                                     duration=1.0, seed=3,
-                                     runner=self.nocache_runner())
-        facade = api.run_sweep(
-            adhoc_sweep("t", "qos", [access("noBG", "down")], [8], seed=3,
-                        warmup=0.5, duration=1.0),
-            scale=1.0, runner=self.nocache_runner())
-        assert legacy == facade.to_mapping()
-
-    def test_voip_and_web_shims_warn(self):
-        from repro.core.voip_study import fig7_grid
-        from repro.core.web_study import fig10_grid
-
-        with pytest.warns(DeprecationWarning, match="fig7_grid"):
-            results = fig7_grid("up", (8,), workloads=("noBG",), calls=1,
-                                warmup=0.5, duration=1.0, seed=3,
-                                runner=self.nocache_runner())
-        assert set(results) == {("noBG", 8)}
-        with pytest.warns(DeprecationWarning, match="fig10_grid"):
-            results = fig10_grid("down", (8,), workloads=("noBG",),
-                                 fetches=1, warmup=0.5, seed=5,
-                                 runner=self.nocache_runner())
-        assert results[("noBG", 8)]["median_plt"] > 0.0
-
-    def test_remaining_shims_warn(self):
-        import warnings
-
-        from repro.core.study import fig5_utilization, table1_rows
-        from repro.core.video_study import fig9_grid
-        from repro.core.voip_study import fig8_grid
-        from repro.core.web_study import fig11_grid
-
-        calls = [
-            lambda: fig5_utilization(buffers=[8], warmup=0.5, duration=1.0,
-                                     seed=1, runner=self.nocache_runner()),
-            lambda: table1_rows("access", warmup=0.5, duration=1.0, seed=1,
-                                workloads=[("noBG", "down")],
-                                runner=self.nocache_runner()),
-            lambda: fig8_grid((749,), workloads=("noBG",), calls=1,
-                              warmup=0.5, duration=1.0, seed=3,
-                              runner=self.nocache_runner()),
-            lambda: fig9_grid("access", (8,), workloads=("noBG",),
-                              resolutions=("SD",), duration=1.0,
-                              warmup=0.5, seed=4,
-                              runner=self.nocache_runner()),
-            lambda: fig11_grid((749,), workloads=("noBG",), fetches=1,
-                               warmup=0.5, seed=5,
-                               runner=self.nocache_runner()),
-        ]
-        for call in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = call()
-            assert result  # shim still returns the legacy shape
-            assert any(issubclass(w.category, DeprecationWarning)
-                       for w in caught)

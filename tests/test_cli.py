@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command line (repro.cli)."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -198,3 +199,42 @@ class TestExport:
         captured = capsys.readouterr()
         assert "partial grid — only 1 of 2 cells cached" in captured.err
         assert len(captured.out.strip().splitlines()) == 2  # header + 1 row
+
+
+class TestFigures:
+    #: SHA-256 of ``python -m repro figures table2`` as printed before
+    #: the text figures were drawn from the report's descriptions.
+    TABLE2_SHA256 = ("56c1d046a852b62109617c0b9f0c9bc0"
+                     "1f827ec0a4310860cc0b6c3567617ccd")
+
+    def test_table2_prints_both_blocks_unchanged(self, capsys):
+        assert main(["figures", "table2"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2 (access): buffer sizes and max queueing delay" in out
+        assert "Table 2 (backbone): buffer sizes and max queueing delay" \
+            in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+            == self.TABLE2_SHA256
+
+    def test_unknown_name_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "table2", "fig99"])
+        assert "no report figure for fig99" in str(exc.value.code)
+        # Validated before anything runs or prints.
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_figure_runs_through_the_cache(self, capsys, monkeypatch):
+        import repro.runner.grid as grid_module
+
+        assert main(["figures", "fig4-down"]) == 0
+        first = capsys.readouterr().out
+        assert "Figure 4 (down): mean UPLINK queueing delay [ms]" in first
+        assert "Figure 4 (down): mean DOWNLINK queueing delay [ms]" in first
+
+        def no_simulation(task):
+            raise AssertionError("warm figures run simulated %s"
+                                 % task.label)
+
+        monkeypatch.setattr(grid_module, "execute_task", no_simulation)
+        assert main(["figures", "fig4-down"]) == 0
+        assert capsys.readouterr().out == first

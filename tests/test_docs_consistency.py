@@ -62,7 +62,7 @@ def test_architecture_doc_covers_the_layers():
 def test_results_doc_covers_the_api():
     results = read("docs/RESULTS.md")
     for name in ("run_sweep", "iter_sweep", "load_sweep", "ResultSet",
-                 "StreamAggregator", "to_csv", "to_mapping",
+                 "StreamAggregator", "to_csv", "to_json",
                  "QosResult", "VoipResult", "VideoResult", "WebResult"):
         assert name in results, name
 
@@ -102,7 +102,8 @@ def test_reporting_doc_covers_the_report_layer():
     for name in figure_names():
         assert "`%s`" % name in reporting, name
     assert set(CHECKS) <= set(figure_names())
-    for term in ("python -m repro report", "--cached-only", "--sample",
+    for term in ("python -m repro report", "python -m repro figures",
+                 "--cached-only", "--sample",
                  "fidelity.json", "fidelity.schema.json",
                  "max_abs_deviation", "rank_correlation",
                  "trend_agreement", "PASS", "WARN", "FAIL", "SKIP",

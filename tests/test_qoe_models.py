@@ -1,5 +1,7 @@
 """Tests for the QoE metric layer: E-model, PESQ-like, scales, G.1030."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,25 @@ class TestEModel:
         assert r_to_mos(0) == 1.0
         assert r_to_mos(100) == 4.5
         assert r_to_mos(93.2) == pytest.approx(4.41, abs=0.05)
+
+    def test_r_to_mos_range_and_minimum(self):
+        # G.107's polynomial dips below 1.0 near R = 3.2 (the docstring
+        # range is [0.98884, 4.5]); golden VoIP cells rely on it.
+        r_min = (320.0 - math.sqrt(90400.0)) / 6.0  # root of d(MOS)/dR
+        assert r_min == pytest.approx(3.2223, abs=1e-4)
+        assert r_to_mos(r_min) == pytest.approx(0.988839, abs=1e-6)
+        values = [r_to_mos(step / 100.0) for step in range(-100, 10101)]
+        assert min(values) == pytest.approx(0.988839, abs=1e-6)
+        assert max(values) == 4.5
+        assert all(0.98883 < value <= 4.5 for value in values)
+        # MOS < 1.0 exactly on 0 < R < 6.515, the upper root of MOS = 1.
+        r_upper = (160.0 - math.sqrt(21600.0)) / 2.0
+        assert r_to_mos(r_upper - 0.01) < 1.0 < r_to_mos(r_upper + 0.01)
+
+    def test_mos_to_r_takes_the_upper_branch_below_one(self):
+        r_upper = (160.0 - math.sqrt(21600.0)) / 2.0
+        for mos in (0.98884, 0.995, 1.0):
+            assert mos_to_r(mos) == pytest.approx(r_upper, abs=1e-9)
 
     def test_mos_to_r_inverse(self):
         for r in (10, 30, 50, 70, 90):

@@ -222,15 +222,6 @@ class TestResultSet:
             (object(), record) for record in synthetic)
         assert rs == synthetic
 
-    def test_to_mapping_requires_keys(self, synthetic):
-        mapping = synthetic.to_mapping()
-        assert mapping[("noBG", 8, "droptail")] == synthetic[0].payload
-        keyless = ResultSet([VoipResult(
-            scenario="s", buffer_packets=8, seed=0, discipline="droptail",
-            params=(), payload={"talks": 1.0})])
-        with pytest.raises(KeyError):
-            keyless.to_mapping()
-
     def test_csv_handles_heterogeneous_columns(self, synthetic):
         other = ResultSet([WebResult(
             scenario="w", buffer_packets=8, seed=0, discipline="droptail",

@@ -2,17 +2,14 @@
 
 import pytest
 
+from repro import api
 from repro.core.experiment import run_qos_cell
+from repro.core.registry import access, adhoc_sweep
 from repro.core.scenarios import access_scenario
-from repro.core.study import fig4_delay_grid, table1_rows
+from repro.results import ResultSet
 from repro.runner import CellTask, GridRunner, ResultCache, resolve_workers
 from repro.runner.execute import execute_task, jsonify, queue_factory_for
 from repro.sim.queues import CoDelQueue, REDQueue
-
-
-class _Buf:
-    def __init__(self, packets):
-        self.packets = packets
 
 
 def _flaky_execute(task):
@@ -25,6 +22,11 @@ def _flaky_execute(task):
 def qos_task(packets=16, seed=1, warmup=1.0, duration=2.0):
     return CellTask.make("qos", access_scenario("long-few", "down"), packets,
                          seed=seed, warmup=warmup, duration=duration)
+
+
+def run_all(runner, tasks):
+    """Fully consume ``runner.iter_run``; records in task order."""
+    return list(ResultSet.from_stream(runner.iter_run(tasks)))
 
 
 def fresh_runner(tmp_path, **kwargs):
@@ -156,14 +158,16 @@ class TestGridRunner:
 
         monkeypatch.setattr(grid_module, "ProcessPoolExecutor", boom)
         runner = fresh_runner(tmp_path, workers=1)
-        results = runner.run([qos_task(16), qos_task(32)])
+        results = run_all(runner, [qos_task(16), qos_task(32)])
         assert len(results) == 2
         assert results[0].down_utilization > 0.0
 
     def test_parallel_matches_serial_and_direct(self, tmp_path):
         tasks = [qos_task(16), qos_task(32)]
-        serial = fresh_runner(tmp_path / "a", workers=1).run(tasks)
-        parallel = fresh_runner(tmp_path / "b", workers=2).run(tasks)
+        serial = [record.report for record in run_all(
+            fresh_runner(tmp_path / "a", workers=1), tasks)]
+        parallel = [record.report for record in run_all(
+            fresh_runner(tmp_path / "b", workers=2), tasks)]
         direct = [run_qos_cell(access_scenario("long-few", "down"), packets,
                                warmup=1.0, duration=2.0, seed=1)
                   for packets in (16, 32)]
@@ -174,10 +178,10 @@ class TestGridRunner:
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         tasks = [qos_task(16), qos_task(32)]
         cold = GridRunner(workers=2, cache=cache, progress=False)
-        first = cold.run(tasks)
+        first = [record.report for record in run_all(cold, tasks)]
         assert cold.last_stats["computed"] == 2
         warm = GridRunner(workers=2, cache=cache, progress=False)
-        second = warm.run(tasks)
+        second = [record.report for record in run_all(warm, tasks)]
         assert warm.last_stats["computed"] == 0
         assert warm.last_stats["cached"] == 2
         assert first == second
@@ -190,7 +194,7 @@ class TestGridRunner:
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         runner = GridRunner(workers=2, cache=cache, progress=False)
         with pytest.raises(RuntimeError, match="boom"):
-            runner.run([qos_task(16), qos_task(32), qos_task(48)])
+            run_all(runner, [qos_task(16), qos_task(32), qos_task(48)])
         # The healthy siblings' results survived the failure.
         assert cache.get(qos_task(16)) is not None
         assert cache.get(qos_task(48)) is not None
@@ -207,7 +211,7 @@ class TestGridRunner:
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         runner = GridRunner(workers=2, cache=cache, progress=False)
         with pytest.raises(RuntimeError, match="boom"):
-            runner.run([qos_task(16), qos_task(32), qos_task(48)])
+            run_all(runner, [qos_task(16), qos_task(32), qos_task(48)])
         stats = runner.last_stats
         assert stats["failed"] is True
         assert stats["cells"] == 3
@@ -220,33 +224,37 @@ class TestGridRunner:
             directory=str(tmp_path / "serial"), enabled=True),
             progress=False)
         with pytest.raises(RuntimeError, match="boom"):
-            serial.run([qos_task(32), qos_task(16)])
+            run_all(serial, [qos_task(32), qos_task(16)])
         assert serial.last_stats["failed"] is True
         assert serial.last_stats["cells"] == 2
         assert serial.last_stats["computed"] == 0
 
     def test_successful_run_reports_not_failed(self, tmp_path):
         runner = fresh_runner(tmp_path, workers=1)
-        runner.run([qos_task(16)])
+        run_all(runner, [qos_task(16)])
         assert runner.last_stats["failed"] is False
         assert runner.last_stats["computed"] == 1
 
     def test_run_is_a_collector_over_the_payload_stream(self, tmp_path):
-        # run() and iter_run() must agree cell for cell.
-        tasks = [qos_task(16), qos_task(32)]
-        batch = fresh_runner(tmp_path / "a", workers=1).run(tasks)
-        streamed = list(fresh_runner(tmp_path / "b",
-                                     workers=1).iter_run(tasks))
+        # api.run_sweep() and iter_run() must agree cell for cell.
+        spec = adhoc_sweep("t", "qos", [access("long-few", "down")],
+                           [16, 32], seed=1, warmup=1.0, duration=2.0)
+        tasks = spec.tasks(1.0)
+        assert tasks == [qos_task(16), qos_task(32)]
+        batch = api.run_sweep(spec, scale=1.0,
+                              runner=fresh_runner(tmp_path / "a", workers=1))
+        streamed = list(fresh_runner(tmp_path / "b", workers=1).iter_run(
+            tasks, keys=spec.cells(1.0)))
         assert [task for task, __ in streamed] == tasks
-        for (__, record), revived in zip(streamed, batch):
-            assert record.report == revived
+        for (__, record), collected in zip(streamed, batch):
+            assert record.report == collected.report
             assert record.kind == "qos"
 
     def test_progress_lines_report_cells_and_eta(self, tmp_path):
         lines = []
         runner = fresh_runner(tmp_path, workers=1, progress=True,
                               log=lines.append)
-        runner.run([qos_task(16)])
+        run_all(runner, [qos_task(16)])
         assert any("running 1 cells" in line for line in lines)
         assert any("eta" in line for line in lines)
 
@@ -257,7 +265,7 @@ class TestGridRunner:
         task = CellTask.make("voip", scenario, 64, seed=0, warmup=0.5,
                              duration=2.0, calls=1,
                              directions=("listens",))
-        result = fresh_runner(tmp_path, workers=1).run([task])[0]
+        result = run_all(fresh_runner(tmp_path, workers=1), [task])[0]
         scores = run_voip_cell(scenario, 64, calls=1, warmup=0.5,
                                duration=2.0, seed=0,
                                directions=("listens",))
@@ -268,37 +276,38 @@ class TestGridRunner:
 
 class TestStudyGridsThroughRunner:
     def test_fig4_parallel_identical_to_serial(self, tmp_path):
-        kwargs = dict(buffers=[_Buf(8), _Buf(16)], workloads=("long-few",),
-                      warmup=1.0, duration=2.0, seed=3)
-        serial = fig4_delay_grid(
-            "down", runner=fresh_runner(tmp_path / "a", workers=1), **kwargs)
-        parallel = fig4_delay_grid(
-            "down", runner=fresh_runner(tmp_path / "b", workers=2), **kwargs)
-        assert list(serial) == list(parallel)
+        spec = adhoc_sweep("t", "qos", [access("long-few", "down")], [8, 16],
+                           seed=3, warmup=1.0, duration=2.0)
+        serial = api.run_sweep(
+            spec, scale=1.0, runner=fresh_runner(tmp_path / "a", workers=1))
+        parallel = api.run_sweep(
+            spec, scale=1.0, runner=fresh_runner(tmp_path / "b", workers=2))
+        assert serial.keys() == parallel.keys()
         assert serial == parallel
 
     def test_table1_parallel_identical_to_serial(self, tmp_path):
-        workloads = [("long-few", "down"), ("short-few", "down")]
-        kwargs = dict(warmup=1.0, duration=2.0, seed=3, workloads=workloads)
-        serial = table1_rows(
-            "access", runner=fresh_runner(tmp_path / "a", workers=1),
-            **kwargs)
-        parallel = table1_rows(
-            "access", runner=fresh_runner(tmp_path / "b", workers=2),
-            **kwargs)
-        assert serial == parallel
-        assert [row["workload"] for row in serial] == ["long-few",
-                                                       "short-few"]
         # Table 1 access cells use per-direction BDP buffers.
-        assert serial[0]["down_util"] > 0.0
+        spec = adhoc_sweep("t", "qos", [
+            access(name, "down", label="%s/down" % name)
+            for name in ("long-few", "short-few")], [(64, 8)],
+            seed=3, warmup=1.0, duration=2.0)
+        serial = api.run_sweep(
+            spec, scale=1.0, runner=fresh_runner(tmp_path / "a", workers=1))
+        parallel = api.run_sweep(
+            spec, scale=1.0, runner=fresh_runner(tmp_path / "b", workers=2))
+        assert serial == parallel
+        assert [key[0] for key in serial.keys()] == ["long-few/down",
+                                                     "short-few/down"]
+        assert serial[0].buffer_packets == (64, 8)
+        assert serial[0].down_utilization > 0.0
 
     def test_fig4_warm_cache_repeat(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), enabled=True)
-        kwargs = dict(buffers=[_Buf(8)], workloads=("long-few",),
-                      warmup=1.0, duration=2.0, seed=3)
+        spec = adhoc_sweep("t", "qos", [access("long-few", "down")], [8],
+                           seed=3, warmup=1.0, duration=2.0)
         first_runner = GridRunner(workers=1, cache=cache, progress=False)
-        first = fig4_delay_grid("down", runner=first_runner, **kwargs)
+        first = api.run_sweep(spec, scale=1.0, runner=first_runner)
         warm_runner = GridRunner(workers=1, cache=cache, progress=False)
-        second = fig4_delay_grid("down", runner=warm_runner, **kwargs)
+        second = api.run_sweep(spec, scale=1.0, runner=warm_runner)
         assert warm_runner.last_stats["computed"] == 0
         assert first == second

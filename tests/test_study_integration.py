@@ -2,57 +2,55 @@
 
 import pytest
 
+from repro import api
+from repro.core.registry import access, adhoc_sweep, backbone
 from repro.core.scenarios import access_scenario, backbone_scenario
-from repro.core.study import (
-    fig4_delay_grid,
-    fig5_utilization,
-    render_fig4,
-    render_fig5,
-    render_table1,
-    render_table2,
-    table1_rows,
-)
 from repro.core.video_study import run_video_cell
 from repro.core.voip_study import median_mos, run_voip_cell
 from repro.core.web_study import run_web_cell
+from repro.report.figures import REPORT_FIGURES
+from repro.runner import GridRunner
 from repro.sim.queues import CoDelQueue
 
 
-class _Buf:
-    def __init__(self, packets):
-        self.packets = packets
+def run_serial(spec):
+    return api.run_sweep(spec, scale=1.0, runner=GridRunner(
+        workers=1, use_cache=False, progress=False))
 
 
 class TestQosStudies:
     def test_fig4_grid_and_render(self):
-        buffers = [_Buf(8), _Buf(64)]
-        results = fig4_delay_grid("up", buffers=buffers,
-                                  workloads=("long-few",), warmup=3,
-                                  duration=5, seed=2)
-        assert set(results) == {("long-few", 8), ("long-few", 64)}
+        spec = adhoc_sweep("t", "qos", [access("long-few", "up")], [8, 64],
+                           seed=2, warmup=3, duration=5)
+        results = run_serial(spec)
+        assert results.keys() == [("long-few", 8), ("long-few", 64)]
         # Bigger buffer, bigger mean uplink delay.
         assert (results[("long-few", 64)].up_mean_delay
                 > results[("long-few", 8)].up_mean_delay)
-        text = render_fig4(results, "up", buffers=buffers,
-                           workloads=("long-few",))
+        text = REPORT_FIGURES["fig4-up"].text(results, spec, 1.0)
         assert "UPLINK" in text and "DOWNLINK" in text
 
     def test_fig5_and_render(self):
-        results = fig5_utilization(buffers=[_Buf(64)], warmup=3, duration=5,
-                                   seed=1)
-        report = results[64]
+        spec = adhoc_sweep("t", "qos", [access("long-many", "bidir")], [64],
+                           seed=1, warmup=3, duration=5)
+        results = run_serial(spec)
+        report = results[("long-many", 64)]
         assert len(report.up_utilization_samples) >= 4
-        assert "utilization" in render_fig5(results)
+        assert "utilization" in REPORT_FIGURES["fig5"].text(results, spec,
+                                                            1.0)
 
     def test_table1_rows_and_render(self):
-        rows = table1_rows("backbone", warmup=2, duration=4, seed=1,
-                           include_overload=False)
-        assert len(rows) == 4
-        text = render_table1(rows, "backbone")
+        spec = adhoc_sweep("t", "qos", [
+            backbone(w) for w in ("short-low", "short-medium", "short-high",
+                                  "long")], [749],
+            seed=1, warmup=2, duration=4)
+        results = run_serial(spec)
+        assert len(results) == 4
+        text = REPORT_FIGURES["table1-backbone"].text(results, spec, 1.0)
         assert "short-low" in text
 
     def test_table2_render(self):
-        text = render_table2()
+        text = REPORT_FIGURES["table2"].text(None, None, 1.0)
         assert "96" in text  # 8-packet uplink delay
         assert "7490" in text
 
