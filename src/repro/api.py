@@ -53,10 +53,27 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
     labels; ``buffers`` replaces the buffer axis (packet counts or
     ``(down, up)`` pairs); ``duration``/``warmup`` are literal simulated
     seconds (a duration override bypasses scale stretching);
-    ``disciplines`` replaces the queue-discipline axis.  Unknown
-    workload labels or disciplines raise ValueError.  Overridden runs
-    use different cache keys than the registered grid, by design.
+    ``disciplines`` replaces the queue-discipline axis.  This is the
+    one check on override values: unknown workload labels or
+    disciplines, an empty workload/buffer/discipline list, a buffer
+    size below one packet (either half of ``(down, up)``), a duration
+    that is not positive and a negative warmup raise ValueError naming
+    the value.  Overridden runs use different cache keys than the
+    registered grid, by design.
     """
+    for name, axis in (("workload", workloads), ("buffer", buffers),
+                       ("discipline", disciplines)):
+        if axis is not None and len(axis) == 0:
+            raise ValueError("empty %s list" % name)
+    for size in buffers or ():
+        if any(part < 1 for part in (
+                size if isinstance(size, (tuple, list)) else (size,))):
+            raise ValueError("buffer size %r is below one packet"
+                             % (size,))
+    if duration is not None and duration <= 0:
+        raise ValueError("duration %r must be positive" % (duration,))
+    if warmup is not None and warmup < 0:
+        raise ValueError("warmup %r must not be negative" % (warmup,))
     scale = resolve_scale() if scale is None else scale
     scenarios = spec.scenario_axis(scale)
     buffer_axis = spec.buffer_axis(scale)

@@ -16,7 +16,7 @@ without anyone eyeballing text heatmaps.  It has three layers:
     Per-figure scoring against :data:`repro.core.paper_data.DIGITIZED`
     — rank correlation along the buffer axis, trend agreement at the
     paper's highlighted sizes, max absolute MOS/SSIM/PLT deviation —
-    graded into a ``PASS``/``WARN``/``FAIL``/``SKIP`` verdict.
+    plus each figure's qualitative shape checks, graded into a ``PASS``/``WARN``/``FAIL``/``SKIP`` verdict.
 
 :func:`repro.report.build.generate_report` ties them together into a
 self-contained ``index.md`` + SVGs + ``fidelity.json`` directory; the
@@ -41,6 +41,7 @@ from repro.report.fidelity import (
     FigureFidelity,
     MonotoneSpec,
     SeriesSpec,
+    Shape,
     Thresholds,
     evaluate,
     spearman,
@@ -61,6 +62,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SKIP",
     "SeriesSpec",
+    "Shape",
     "Thresholds",
     "WARN",
     "evaluate",

@@ -81,18 +81,6 @@ def _load_results(spec, scale, cached_only, runner):
         api.iter_sweep(spec, scale=scale, runner=runner))
 
 
-def _figure_fidelity(name, results):
-    if name == "table2":
-        return fidelity_mod.table2_fidelity()
-    check = fidelity_mod.check_for(name)
-    if check is None:
-        return fidelity_mod.skip(name)
-    if results is None or len(results) == 0:
-        return fidelity_mod.skip(
-            name, "no reproduced cells available (cold cache?)")
-    return fidelity_mod.evaluate(check, results)
-
-
 def _fmt_metric(value):
     if value is None:
         return "—"
@@ -221,7 +209,7 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
         with open(os.path.join(out_dir, svg_name), "w",
                   encoding="utf-8") as handle:
             handle.write(markup)
-        fig_fidelity = _figure_fidelity(name, results)
+        fig_fidelity = fidelity_mod.score(name, results)
         entry = {
             "figure": name,
             "sweep": figure.sweep,

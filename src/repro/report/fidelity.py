@@ -38,17 +38,28 @@ Metrics
     the minimum per-row Spearman's rho of the reproduced series against
     its expected direction across the buffer axis.
 
+Shape checks
+------------
+Each :class:`Shape` of a check is one qualitative expectation on the
+reproduction alone ("noBG/64 talks > 3.9", "delay at 256 > 4 x delay
+at 8"), graded as its own gate keyed by the shape's label: PASS when
+its operator holds on every selected cell, FAIL otherwise (no WARN
+band).  A shape none of whose cells is present is undefined.
+
 Verdict rule: every *gated* metric is graded PASS/WARN/FAIL against its
-thresholds and the figure verdict is the worst grade.  Metrics whose
-value is undefined (``None``) never gate.  Threshold values are
-calibrated against full-scale (``REPRO_SCALE=4``) reproduction runs —
-see ``docs/REPORTING.md`` for each figure's measured margins.
+thresholds and the figure verdict is the worst grade.  Metrics and
+shapes whose value is undefined (``None``) never gate.  Threshold
+values are calibrated against full-scale (``REPRO_SCALE=4``)
+reproduction runs — see ``docs/REPORTING.md`` for each figure's
+measured margins.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from repro.core import paper_data
+from repro.qoe.scales import G114_ACCEPTABLE_MS, G114_PROBLEMATIC_MS
 
 PASS, WARN, FAIL, SKIP = "PASS", "WARN", "FAIL", "SKIP"
 
@@ -159,6 +170,37 @@ class MonotoneSpec:
     filters: tuple = ()  # ((column, value), ...) pre-filters on the set
 
 
+#: Shape operators.
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge}
+_REDUCERS = {"min": min, "max": max}
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A qualitative expectation: selected cells of ``column`` compare
+    with ``op`` against a literal ``bound``, or against the ``than``
+    cell as ``factor * than + offset``.
+
+    ``cells`` and ``than`` are cell-key patterns where ``"*"`` matches
+    every value present on that axis; a ``"*"`` in ``than`` takes the
+    left cell's value.  ``reduce`` names ``"min"``/``"max"`` for the
+    left side and, with ``than``, for the right side: the shape then
+    compares those two numbers instead of cell pairs.  ``column`` is a
+    record column name, or a function of the record.
+    """
+
+    label: str
+    column: object
+    cells: tuple
+    op: str  # "<", "<=", ">" or ">="
+    bound: float = None
+    than: tuple = None
+    factor: float = 1.0
+    offset: float = 0.0
+    reduce: tuple = ()
+
+
 @dataclass(frozen=True)
 class FigureCheck:
     """Everything needed to score one figure's reproduction."""
@@ -168,11 +210,7 @@ class FigureCheck:
     series: tuple = ()  # SeriesSpec entries
     monotone: tuple = ()  # MonotoneSpec entries
     thresholds: Thresholds = field(default_factory=Thresholds)
-    #: Envelope mode (Figure 4a): every cell of ``envelope_column``
-    #: (scaled by ``envelope_factor``) must stay below ``envelope_bound``.
-    envelope_column: str = None
-    envelope_bound: float = None
-    envelope_factor: float = 1.0
+    shapes: tuple = ()  # Shape entries
     notes: str = ""
 
 
@@ -270,6 +308,79 @@ def _grade(value, pass_bound, warn_bound, higher_is_better):
     return FAIL
 
 
+def _matches(pattern, key):
+    if len(pattern) != len(key):
+        return False
+    for part, value in zip(pattern, key):
+        if part != "*" and part != value:
+            return False
+    return True
+
+
+def _bound_gate(value, bound, holds):
+    """A pass/fail gate: no WARN band."""
+    return {"value": value, "pass": bound, "warn": None,
+            "level": PASS if holds else FAIL}
+
+
+def _shape_pairs(shape, results):
+    """The ``(left, right-hand side)`` pairs one :class:`Shape` compares."""
+    def select(pattern):
+        if "*" in pattern:
+            records = [record for record in results
+                       if _matches(pattern, record.key)]
+        else:
+            records = [results[pattern]] if pattern in results else []
+        selected = {}
+        for record in records:
+            value = (shape.column(record) if callable(shape.column)
+                     else record.value(shape.column))
+            if value is not None:
+                selected[record.key] = float(value)
+        return selected
+
+    def right(value):
+        return shape.factor * value + shape.offset
+
+    left = select(shape.cells)
+    if shape.than is None:
+        if shape.reduce and left:
+            return [(_REDUCERS[shape.reduce[0]](left.values()), shape.bound)]
+        return [(value, shape.bound) for value in left.values()]
+    than = select(shape.than)
+    if shape.reduce:
+        if not (left and than):
+            return []
+        return [(_REDUCERS[shape.reduce[0]](left.values()),
+                 right(_REDUCERS[shape.reduce[1]](than.values())))]
+    pairs = []
+    for key, value in left.items():
+        partner = tuple(part_of_key if part == "*" else part
+                        for part, part_of_key in zip(shape.than, key))
+        if partner in than:
+            pairs.append((value, right(than[partner])))
+    return pairs
+
+
+def _shape_gate(shape, results):
+    """Grade one :class:`Shape`; None when no selected cell is present.
+
+    The gate value is the worst selected value against a literal bound,
+    or the worst left - right difference against ``than`` (pass 0).
+    """
+    pairs = _shape_pairs(shape, results)
+    if not pairs:
+        return None
+    compare = _OPS[shape.op]
+    worst = max if shape.op in ("<", "<=") else min
+    holds = all(compare(left, right) for left, right in pairs)
+    if shape.than is None:
+        return _bound_gate(worst(left for left, __ in pairs), shape.bound,
+                           holds)
+    return _bound_gate(worst(left - right for left, right in pairs), 0.0,
+                       holds)
+
+
 def evaluate(check, results):
     """Score one figure's :class:`ResultSet` against its check."""
     thresholds = check.thresholds
@@ -340,17 +451,15 @@ def evaluate(check, results):
             if rho is not None:
                 mono_rhos.append(rho * spec.direction)
 
-    # Envelope mode (Figure 4a).
-    envelope_max = None
-    if check.envelope_column is not None:
-        values = [float(value) * check.envelope_factor for value in
-                  results.value_map(check.envelope_column).values()
-                  if value is not None]
-        envelope_max = max(values) if values else None
+    shape_gates = {}
+    for shape in check.shapes:
+        shape_gate = _shape_gate(shape, results)
+        if shape_gate is not None:
+            shape_gates[shape.label] = shape_gate
 
     compared = len(deviations)
     fidelity.compared = compared
-    if compared == 0 and envelope_max is None and not mono_rhos:
+    if compared == 0 and not mono_rhos and not shape_gates:
         fidelity.notes = (fidelity.notes
                           or "no overlap between reproduced cells and "
                              "digitized paper data")
@@ -373,7 +482,6 @@ def evaluate(check, results):
         "trend_agreement": (trend_hits / trend_rows if trend_rows
                             else None),
         "monotonicity": min(mono_rhos) if mono_rhos else None,
-        "envelope_max": envelope_max,
     }
     fidelity.metrics = metrics
     fidelity.worst = [
@@ -408,9 +516,7 @@ def evaluate(check, results):
          higher_is_better=True)
     gate("monotonicity", metrics["monotonicity"], thresholds.rank_pass,
          thresholds.rank_warn, higher_is_better=True)
-    if check.envelope_bound is not None:
-        gate("envelope_max", envelope_max, check.envelope_bound,
-             check.envelope_bound * 1.5, higher_is_better=False)
+    gates.update(shape_gates)
     fidelity.gates = gates
     if gates:
         fidelity.verdict = max((g["level"] for g in gates.values()),
@@ -461,6 +567,22 @@ def _table1_backbone_series():
         for label, index, column, factor in columns)
 
 
+def _ms(column):
+    """A seconds column in milliseconds, converted the way
+    :func:`repro.qoe.scales.g114_class` converts it."""
+    def in_ms(record):
+        return record.value(column) * 1000.0
+    return in_ms
+
+
+def _median(boxplot):
+    """The median of a QoS record's utilization boxplot method (what
+    :class:`repro.report.figures.Boxes` draws as Figure 5's line)."""
+    def median(record):
+        return getattr(record, boxplot)()[2]
+    return median
+
+
 def _fig5_anchor(index):
     """Table 1's long-many/bidir utilization, anchored at the 64-packet
     downlink-BDP buffer of the fig5 sweep."""
@@ -478,16 +600,27 @@ CHECKS = {
             rank_pass=0.9, rank_warn=0.6,
             trend_pass=0.99, trend_warn=0.5,
             flat_epsilon=50.0),
+        # The staircase crosses from G.114 "acceptable" to "bad"; the
+        # axis ends are 8 and 256 packets at every scale.
+        shapes=(Shape("delay at 256 > 4 x at 8", "up_mean_delay",
+                      ("*", 256), ">", than=("*", 8), factor=4.0),
+                Shape("delay at 8 G.114 acceptable [ms]",
+                      _ms("up_mean_delay"), ("*", 8), "<=",
+                      G114_ACCEPTABLE_MS),
+                Shape("delay at 256 G.114 bad [ms]", _ms("up_mean_delay"),
+                      ("*", 256), ">", G114_PROBLEMATIC_MS)),
         notes="the bufferbloat staircase: ordering and growth trend are "
               "the signal, absolute ms deviations are secondary"),
     "fig4-down": FigureCheck(
         figure="fig4-down", units="ms",
-        envelope_column="down_mean_delay",
-        envelope_bound=paper_data.FIG4_DOWN_ONLY_DOWNLINK_MAX_MS,
-        envelope_factor=1000.0,
+        shapes=(Shape("down delay < 200 ms [s]", "down_mean_delay",
+                      ("long-many", "*"), "<",
+                      paper_data.FIG4_DOWN_ONLY_DOWNLINK_MAX_MS / 1000.0),
+                Shape("up delay < 50 ms [s]", "up_mean_delay",
+                      ("long-many", "*"), "<", 0.05)),
         notes="Figure 4a digitizes ambiguously; the paper's qualitative "
-              "envelope (mean downlink delay < 200 ms everywhere) is "
-              "checked instead"),
+              "envelope (mean downlink delay < 200 ms everywhere, the "
+              "ACK-only uplink near zero) is checked instead"),
     "fig5": FigureCheck(
         figure="fig5", units="pp",
         series=(SeriesSpec("up utilization", _fig5_anchor(0),
@@ -499,6 +632,18 @@ CHECKS = {
         thresholds=Thresholds(
             max_deviation_pass=25.0, max_deviation_warn=40.0,
             rank_pass=0.8, rank_warn=0.5),
+        # The uplink is pinned near 100%; the downlink suffers at some
+        # sizes and not at others.
+        shapes=(Shape("up median > 0.8",
+                      _median("up_utilization_boxplot"),
+                      ("long-many", "*"), ">", 0.8),
+                Shape("max down median > 0.55",
+                      _median("down_utilization_boxplot"),
+                      ("long-many", "*"), ">", 0.55, reduce=("max",)),
+                Shape("min down median < max",
+                      _median("down_utilization_boxplot"),
+                      ("long-many", "*"), "<", than=("long-many", "*"),
+                      reduce=("min", "max"))),
         notes="Figure 5's boxplots are not digitized; the check anchors "
               "on Table 1's long-many/bidir utilizations at the 64-packet "
               "BDP buffer plus the figure's monotone downlink trend"),
@@ -508,6 +653,8 @@ CHECKS = {
         thresholds=Thresholds(
             max_deviation_pass=35.0, max_deviation_warn=50.0,
             rank_pass=0.6, rank_warn=0.3),
+        shapes=(Shape("short-few/up up utilization > 0.9",
+                      "up_utilization", ("short-few/up", "*"), ">", 0.9),),
         notes="Harpoon session behaviour is calibrated, not specified "
               "(see docs/SCENARIOS.md), so utilization/loss columns "
               "carry wide tolerances"),
@@ -516,7 +663,16 @@ CHECKS = {
         series=_table1_backbone_series(),
         thresholds=Thresholds(
             max_deviation_pass=25.0, max_deviation_warn=40.0,
-            rank_pass=0.6, rank_warn=0.3)),
+            rank_pass=0.6, rank_warn=0.3),
+        # Load ordering: low < medium < high, and high saturates.
+        shapes=(Shape("short-low utilization < short-medium",
+                      "down_utilization", ("short-low", "*"), "<",
+                      than=("short-medium", "*")),
+                Shape("short-medium utilization < short-high",
+                      "down_utilization", ("short-medium", "*"), "<",
+                      than=("short-high", "*")),
+                Shape("short-high utilization > 0.9", "down_utilization",
+                      ("short-high", "*"), ">", 0.9))),
     "fig7a": FigureCheck(
         figure="fig7a", units="MOS",
         series=(SeriesSpec("listens", paper_data.FIG7A_LISTENS, "listens"),
@@ -529,18 +685,38 @@ CHECKS = {
             # activity barely moves MOS): every row's range is < 0.8
             # MOS, so per-row buffer ordering is noise and the pooled
             # rank correlation carries the gate instead.
-            flat_epsilon=0.8),),
+            flat_epsilon=0.8),
+        # Download congestion hurts listening, not talking.
+        shapes=(Shape("long-many/64 talks > 3.5", "talks",
+                      ("long-many", 64), ">", 3.5),
+                Shape("long-many/64 listens < noBG/64", "listens",
+                      ("long-many", 64), "<", than=("noBG", 64)))),
     "fig7b": FigureCheck(
         figure="fig7b", units="MOS",
         series=(SeriesSpec("listens", paper_data.FIG7B_LISTENS, "listens"),
                 SeriesSpec("talks", paper_data.FIG7B_TALKS, "talks")),
         thresholds=_MOS_THRESHOLDS,
+        shapes=(Shape("noBG/64 talks > 3.9", "talks", ("noBG", 64), ">",
+                      3.9),
+                Shape("long-many/256 talks < 1.8", "talks",
+                      ("long-many", 256), "<", 1.8),
+                Shape("long-many/256 listens < 3.3", "listens",
+                      ("long-many", 256), "<", 3.3),
+                Shape("long-many/8 talks > long-many/256", "talks",
+                      ("long-many", 8), ">", than=("long-many", 256))),
         notes="the headline bufferbloat collapse: MOS must fall with the "
               "uplink buffer in both call directions"),
     "fig8": FigureCheck(
         figure="fig8", units="MOS",
         series=(SeriesSpec("listens", paper_data.FIG8, "listens"),),
-        thresholds=_MOS_THRESHOLDS),
+        thresholds=_MOS_THRESHOLDS,
+        # Workload, not buffer size, sets the quality.
+        shapes=(Shape("noBG listens > 4.0", "listens", ("noBG", "*"), ">",
+                      4.0),
+                Shape("long/7490 listens < 3.0", "listens", ("long", 7490),
+                      "<", 3.0),
+                Shape("long/7490 listens < long/749", "listens",
+                      ("long", 7490), "<", than=("long", 749)))),
     "fig9a": FigureCheck(
         figure="fig9a", units="SSIM",
         series=(SeriesSpec("SD", paper_data.FIG9A_SD, "ssim",
@@ -550,6 +726,15 @@ CHECKS = {
         thresholds=Thresholds(
             max_deviation_pass=0.35, max_deviation_warn=0.6,
             rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1),
+        # Binary: clean without congestion, broken under long-many at
+        # every size; HD weathers loss slightly better than SD.
+        shapes=(Shape("noBG SD ssim > 0.99", "ssim", ("noBG", "*", "SD"),
+                      ">", 0.99),
+                Shape("long-many SD ssim < 0.75", "ssim",
+                      ("long-many", "*", "SD"), "<", 0.75),
+                Shape("long-few/64 HD >= SD - 0.05", "ssim",
+                      ("long-few", 64, "HD"), ">=",
+                      than=("long-few", 64, "SD"), offset=-0.05)),
         notes="our stream recovers at large buffers under short-few "
               "where the paper's stays degraded — expect WARN"),
     "fig9b": FigureCheck(
@@ -560,25 +745,49 @@ CHECKS = {
                            filters=(("resolution", "HD"),))),
         thresholds=Thresholds(
             max_deviation_pass=0.45, max_deviation_warn=0.6,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1)),
+            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1),
+        shapes=(Shape("noBG SD ssim > 0.99", "ssim", ("noBG", "*", "SD"),
+                      ">", 0.99),
+                Shape("long/749 SD ssim < noBG/749", "ssim",
+                      ("long", 749, "SD"), "<", than=("noBG", 749, "SD")))),
     "fig10a": FigureCheck(
         figure="fig10a", units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG10A, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=4.0, max_deviation_warn=8.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
+            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0),
+        shapes=(Shape("noBG/64 PLT < 1.0", "median_plt", ("noBG", 64), "<",
+                      1.0),
+                Shape("long-many/64 PLT > 2.0", "median_plt",
+                      ("long-many", 64), ">", 2.0),
+                Shape("long-few/256 PLT > long-few/8", "median_plt",
+                      ("long-few", 256), ">", than=("long-few", 8)))),
     "fig10b": FigureCheck(
         figure="fig10b", units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG10B, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=12.0, max_deviation_warn=20.0,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=1.0)),
+            rank_pass=0.5, rank_warn=0.2, flat_epsilon=1.0),
+        # Upload congestion wrecks the page load; a small uplink buffer
+        # keeps long-few tolerable.
+        shapes=(Shape("long-few/8 PLT < 3.0", "median_plt",
+                      ("long-few", 8), "<", 3.0),
+                Shape("long-few/256 PLT > 4.0", "median_plt",
+                      ("long-few", 256), ">", 4.0),
+                Shape("short-many/64 PLT > 4.0", "median_plt",
+                      ("short-many", 64), ">", 4.0))),
     "fig11": FigureCheck(
         figure="fig11", units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG11, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=5.0, max_deviation_warn=10.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
+            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0),
+        shapes=(Shape("noBG/749 PLT < 1.2", "median_plt", ("noBG", 749),
+                      "<", 1.2),
+                Shape("short-medium/749 PLT < 1.5", "median_plt",
+                      ("short-medium", 749), "<", 1.5),
+                Shape("long/7490 PLT > noBG/7490", "median_plt",
+                      ("long", 7490), ">", than=("noBG", 7490)))),
 }
 
 
@@ -594,12 +803,14 @@ def table2_fidelity():
     delays against the paper's printed values; the paper rounds to
     whole (access) / tenth (backbone) milliseconds, so a 10% relative
     deviation gate is generous while still catching any topology-rate
-    regression.
+    regression.  Two strict per-side gates bound the access testbed's
+    worst uplink (< 0.15) and downlink (< 0.25) deviation.
     """
     from repro.core.buffers import (access_buffer_delays,
                                     backbone_buffer_delays)
 
     deviations = []
+    access_sides = {"up": [], "down": []}
     for packets, up_delay, down_delay in access_buffer_delays():
         paper = paper_data.TABLE2_ACCESS.get(packets)
         if paper is None:
@@ -607,8 +818,9 @@ def table2_fidelity():
         for computed, printed, side in ((up_delay * 1000.0, paper[0], "up"),
                                         (down_delay * 1000.0, paper[1],
                                          "down")):
-            deviations.append((abs(computed - printed) / max(printed, 1.0),
-                               "access %d %s" % (packets, side),
+            deviation = abs(computed - printed) / max(printed, 1.0)
+            access_sides[side].append(deviation)
+            deviations.append((deviation, "access %d %s" % (packets, side),
                                printed, computed))
     for packets, delay in backbone_buffer_delays():
         printed = paper_data.TABLE2_BACKBONE.get(packets)
@@ -634,7 +846,13 @@ def table2_fidelity():
     fidelity.gates = {"max_abs_deviation": {
         "value": worst, "pass": 0.1, "warn": 0.25,
         "level": _grade(worst, 0.1, 0.25, higher_is_better=False)}}
-    fidelity.verdict = fidelity.gates["max_abs_deviation"]["level"]
+    for side, bound in (("up", 0.15), ("down", 0.25)):
+        if access_sides[side]:
+            side_worst = max(access_sides[side])
+            fidelity.gates["access %slink deviation < %g" % (side, bound)] \
+                = _bound_gate(side_worst, bound, side_worst < bound)
+    fidelity.verdict = max((gate["level"] for gate in fidelity.gates.values()),
+                           key=_SEVERITY.get)
     fidelity.worst = [
         [label, printed, round(computed, 4)]
         for __, label, printed, computed in sorted(
@@ -645,3 +863,17 @@ def table2_fidelity():
 def skip(figure, notes="no digitized paper data for this sweep"):
     """A SKIP :class:`FigureFidelity` for sweeps without paper data."""
     return FigureFidelity(figure=figure, verdict=SKIP, notes=notes)
+
+
+def score(figure, results):
+    """The :class:`FigureFidelity` of one report figure: Table 2's
+    closed form, its check evaluated on ``results`` (the figure's sweep
+    :class:`ResultSet`), or SKIP without a check or cells."""
+    if figure == "table2":
+        return table2_fidelity()
+    check = check_for(figure)
+    if check is None:
+        return skip(figure)
+    if results is None or len(results) == 0:
+        return skip(figure, "no reproduced cells available (cold cache?)")
+    return evaluate(check, results)

@@ -53,6 +53,29 @@ class TestRunSweep:
                           overrides={"disciplines": ("fifo",)},
                           runner=runner_for(tmp_path))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"buffers": (0,)}, "buffer size 0 "),
+        ({"buffers": (8, -8)}, "buffer size -8 "),
+        ({"buffers": ((64, 0),)}, r"buffer size \(64, 0\)"),
+        ({"buffers": ([0, 8],)}, r"buffer size \[0, 8\]"),
+        ({"buffers": ()}, "empty buffer list"),
+        ({"workloads": ()}, "empty workload list"),
+        ({"disciplines": ()}, "empty discipline list"),
+        ({"duration": 0.0}, "duration 0.0 "),
+        ({"duration": -1.0}, "duration -1.0 "),
+        ({"warmup": -1.0}, "warmup -1.0 "),
+    ])
+    def test_out_of_range_overrides_raise(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            api.apply_overrides(tiny_spec(), scale=1.0, **overrides)
+
+    def test_boundary_overrides_are_accepted(self):
+        spec = api.apply_overrides(tiny_spec(), scale=1.0,
+                                   buffers=(1, (1, 1)), warmup=0.0,
+                                   duration=0.5)
+        assert spec.buffer_axis(1.0) == (1, (1, 1))
+        assert spec.resolved_duration(scale=1.0) == 0.5
+
     def test_duration_override_is_literal_above_scale_one(self):
         spec = api.apply_overrides(tiny_spec(), scale=4.0, duration=2.0)
         assert spec.resolved_duration(scale=4.0) == 2.0

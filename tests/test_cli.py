@@ -99,6 +99,22 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--buffers", "8x"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--buffers", "0"), "buffer size 0 "),
+        (("--buffers", "-8"), "buffer size -8 "),
+        (("--buffers", "64:0"), r"buffer size \(64, 0\)"),
+        (("--buffers", ","), "empty buffer list"),
+        (("--workloads", ","), "empty workload list"),
+        (("--discipline", ","), "empty discipline list"),
+        (("--duration", "-1"), "duration -1.0 "),
+        (("--warmup", "-1"), "warmup -1.0 "),
+    ])
+    def test_out_of_range_overrides_exit_cleanly(self, flags, message,
+                                                 capsys):
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "wireless-qos", "--no-cache"] + list(flags))
+        assert capsys.readouterr().out == ""
+
     def test_duration_override_is_literal_under_scale(self, capsys,
                                                       monkeypatch):
         # --duration must mean simulated seconds, not seconds*REPRO_SCALE.

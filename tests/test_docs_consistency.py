@@ -1,8 +1,11 @@
 """Docs/registry consistency: the catalog documents what the code registers."""
 
 import os
+import subprocess
+import sys
 
 from repro.core.registry import REGISTRY
+from repro.report.figures import figure_names
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -116,3 +119,22 @@ def test_reporting_doc_is_linked():
     assert "REPORTING.md" in read("docs/RESULTS.md")
     assert "repro.report" in read("docs/ARCHITECTURE.md")
     assert "python -m repro report" in read("README.md")
+
+
+def test_documented_bench_command_collects_one_case_per_figure():
+    # The bench files do not match pytest's test_*.py pattern, so a bare
+    # `pytest benchmarks/` collects nothing; the documented command
+    # names the file.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "benchmarks/bench_figures.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    collected = [line.split("[", 1)[1].rstrip("]")
+                 for line in completed.stdout.splitlines()
+                 if line.startswith("benchmarks/bench_figures.py::")]
+    assert collected == figure_names()
+    assert len(collected) == 14
+    assert "bench_figures.py" in read("benchmarks/common.py")
+    assert "benchmarks/bench_figures.py" in read("README.md")

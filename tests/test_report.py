@@ -1,7 +1,7 @@
 """Tests for the reproduction-report subsystem (repro.report).
 
 Covers the fidelity engine (known rank-correlation/deviation values,
-verdict threshold edges, SKIP paths), the SVG layer (well-formedness),
+verdict threshold edges, SKIP paths, shape checks), the SVG layer (well-formedness),
 the fidelity.json schema validator, report generation end to end, and
 byte-identical regeneration of the committed ``docs/sample_report/``.
 """
@@ -21,10 +21,12 @@ from repro.report.fidelity import (
     FigureCheck,
     MonotoneSpec,
     SeriesSpec,
+    Shape,
     Thresholds,
     evaluate,
     spearman,
 )
+from repro.core import registry
 from repro.report.figures import REPORT_FIGURES
 from repro.results.record import VoipResult
 from repro.results.set import ResultSet
@@ -197,6 +199,146 @@ class TestEvaluate:
         document = scored.to_json()
         assert json.loads(json.dumps(document)) == document
         assert document["verdict"] == PASS
+
+
+# ---------------------------------------------------------------------------
+# Shape checks (no simulation: hand-built ResultSets and the registry).
+# ---------------------------------------------------------------------------
+def shape_check(*shapes, series=()):
+    return FigureCheck(figure="shape", units="MOS", series=series,
+                       shapes=shapes)
+
+
+def shape_gate(shape, talks_by_cell):
+    return evaluate(shape_check(shape), voip_set(talks_by_cell)) \
+        .gates.get(shape.label)
+
+
+def cell_pattern_matches(pattern, key):
+    return len(pattern) == len(key) and all(
+        part in ("*", value) for part, value in zip(pattern, key))
+
+
+class TestShapes:
+    CELLS = {("w", 8): 2.0, ("w", 64): 3.0, ("w", 256): 1.0}
+
+    def test_operator_edges(self):
+        # A value equal to the bound fails a strict operator and passes
+        # an inclusive one; on a literal bound the gate value is the
+        # worst selected cell.
+        cells = {("w", 8): 2.0, ("w", 64): 1.0}
+        for op, bound, value, level in (("<", 2.0, 2.0, FAIL),
+                                        ("<=", 2.0, 2.0, PASS),
+                                        (">", 1.0, 1.0, FAIL),
+                                        (">=", 1.0, 1.0, PASS)):
+            gate = shape_gate(Shape("s", "talks", ("w", "*"), op, bound),
+                              cells)
+            assert gate == {"value": value, "pass": bound, "warn": None,
+                            "level": level}, op
+
+    def test_than_edges_compare_differences(self):
+        cells = {("w", 8): 2.0, ("w", 64): 2.0}
+        strict = Shape("s", "talks", ("w", 8), ">", than=("w", 64))
+        inclusive = Shape("s", "talks", ("w", 8), ">=", than=("w", 64))
+        assert shape_gate(strict, cells)["level"] == FAIL
+        assert shape_gate(inclusive, cells) == {
+            "value": 0.0, "pass": 0.0, "warn": None, "level": PASS}
+        offset = Shape("s", "talks", ("w", 8), ">=", than=("w", 64),
+                       offset=0.5)
+        assert shape_gate(offset, cells)["value"] == -0.5
+
+    def test_wildcard_row_pairs_with_its_own_than_cell(self):
+        # Row a: 5 > 4 x 1, row b: 9 > 4 x 2.  Pairing a/256 with b/8
+        # (5 > 8) would fail, so PASS proves the rows stay paired.
+        cells = {("a", 8): 1.0, ("a", 256): 5.0,
+                 ("b", 8): 2.0, ("b", 256): 9.0}
+        shape = Shape("s", "talks", ("*", 256), ">", than=("*", 8),
+                      factor=4.0)
+        gate = shape_gate(shape, cells)
+        assert gate["level"] == PASS
+        assert gate["value"] == 1.0  # min(5 - 4, 9 - 8)
+        cells[("b", 256)] = 7.0
+        assert shape_gate(shape, cells) == {
+            "value": -1.0, "pass": 0.0, "warn": None, "level": FAIL}
+
+    def test_missing_cells_do_not_gate(self):
+        absent = Shape("s", "talks", ("other", 8), "<", 0.0)
+        assert shape_gate(absent, self.CELLS) is None
+        no_partner = Shape("s", "talks", ("w", 8), "<",
+                           than=("other", 8))
+        assert shape_gate(no_partner, self.CELLS) is None
+        scored = evaluate(shape_check(absent, no_partner),
+                          voip_set(self.CELLS))
+        assert scored.verdict == SKIP
+        assert scored.gates == {}
+
+    def test_violated_shape_fails_verdict_while_paper_gates_pass(self):
+        results = voip_set(dict(PAPER))
+        series = (SeriesSpec("talks", PAPER, "talks"),)
+        check = FigureCheck(
+            figure="shape", units="MOS", series=series,
+            thresholds=Thresholds(max_deviation_pass=0.5, rank_pass=0.9,
+                                  trend_pass=0.9, flat_epsilon=0.5),
+            shapes=(Shape("w/256 talks > 3.0", "talks", ("w", 256), ">",
+                          3.0),))
+        scored = evaluate(check, results)
+        paper_gates = [gate for name, gate in scored.gates.items()
+                       if name != "w/256 talks > 3.0"]
+        assert paper_gates and all(gate["level"] == PASS
+                                   for gate in paper_gates)
+        assert scored.gates["w/256 talks > 3.0"]["level"] == FAIL
+        assert scored.verdict == FAIL
+
+    def test_min_max_reduction(self):
+        # "max > 2.5" holds although most cells are below the bound.
+        peak = Shape("s", "talks", ("w", "*"), ">", 2.5, reduce=("max",))
+        assert shape_gate(peak, self.CELLS) == {
+            "value": 3.0, "pass": 2.5, "warn": None, "level": PASS}
+        spread = Shape("s", "talks", ("w", "*"), "<", than=("w", "*"),
+                       reduce=("min", "max"))
+        assert shape_gate(spread, self.CELLS)["value"] == -2.0
+        flat = {key: 2.0 for key in self.CELLS}
+        assert shape_gate(spread, flat)["level"] == FAIL
+
+    def test_callable_column(self):
+        shape = Shape("s", lambda record: record["talks"] * 10.0,
+                      ("w", 64), "<=", 30.0)
+        assert shape_gate(shape, self.CELLS)["value"] == 30.0
+
+    @pytest.mark.parametrize("scale", (1.0, 4.0))
+    def test_every_shape_cell_exists_in_its_sweep(self, scale):
+        # A mistyped key would otherwise silently never gate.
+        for name, check in fidelity.CHECKS.items():
+            cells = registry.get(REPORT_FIGURES[name].sweep).cells(scale)
+            labels = [shape.label for shape in check.shapes]
+            assert len(set(labels)) == len(labels), name
+            assert not set(labels) & {
+                "max_abs_deviation", "rank_correlation", "trend_agreement",
+                "monotonicity"}, name
+            for shape in check.shapes:
+                left = [key for key in cells
+                        if cell_pattern_matches(shape.cells, key)]
+                assert left, (name, shape.label, shape.cells)
+                if shape.than is None:
+                    continue
+                if shape.reduce:
+                    assert any(cell_pattern_matches(shape.than, key)
+                               for key in cells), (name, shape.label)
+                    continue
+                for key in left:
+                    than = tuple(part_of_key if part == "*" else part
+                                 for part, part_of_key
+                                 in zip(shape.than, key))
+                    assert than in cells, (name, shape.label, than)
+
+    def test_table2_per_side_gates(self):
+        gates = fidelity.table2_fidelity().gates
+        for label, bound in (("access uplink deviation < 0.15", 0.15),
+                             ("access downlink deviation < 0.25", 0.25)):
+            assert gates[label]["pass"] == bound
+            assert gates[label]["warn"] is None
+            assert gates[label]["value"] < bound
+            assert gates[label]["level"] == PASS
 
 
 # ---------------------------------------------------------------------------
