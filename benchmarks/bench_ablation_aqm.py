@@ -16,8 +16,8 @@ def test_aqm_rescues_bloated_uplink(benchmark):
 
     results = run_once(benchmark, run)
     rows = [("%s @ %d pkts" % (cell.discipline, cell.buffer_packets),
-             "%.1f" % cell["talks"], "%.1f" % cell["listens"],
-             "%.0f ms" % (cell["delay"]["talks"] * 1000))
+             "%.1f" % cell.value("talks"), "%.1f" % cell.value("listens"),
+             "%.0f ms" % (cell.value("delay.talks") * 1000))
             for cell in results]
     comparison_table(
         "A1: VoIP under upload congestion per queue discipline",
@@ -25,5 +25,5 @@ def test_aqm_rescues_bloated_uplink(benchmark):
     # CoDel must bound the standing queue that drop-tail lets grow.
     droptail = results[("long-few", 256, "droptail")]
     codel = results[("long-few", 256, "codel")]
-    assert codel["delay"]["talks"] < droptail["delay"]["talks"]
-    assert codel["talks"] >= droptail["talks"]
+    assert codel.value("delay.talks") < droptail.value("delay.talks")
+    assert codel.value("talks") >= droptail.value("talks")

@@ -31,8 +31,8 @@ def main(workloads=("noBG", "short-few", "long-few", "long-many"),
             for packets in buffers:
                 cell = results[(workload, packets, resolution)]
                 print("%-12s %-4s %-6d %-6.2f %-6.1f %-9.3f" %
-                      (workload, resolution, packets, cell.ssim,
-                       cell.mos, cell.packet_loss))
+                      (workload, resolution, packets, cell.value("ssim"),
+                       cell.value("mos"), cell.value("packet_loss")))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ the CLI, the benchmarks, the examples and downstream analysis code::
     from repro import api
 
     results = api.run_sweep("fig7b")                 # ResultSet
-    results.pivot("scenario", "buffer", "talks")     # heatmap dict
+    results.value_map("talks")                       # {cell key: MOS}
+    results[("long-few", 256)].value("delay.talks")  # one cell
     results.to_csv("fig7b.csv")
 
     for record in api.iter_sweep("fig5"):            # streaming
@@ -21,7 +22,7 @@ Sweeps are named registry entries (``python -m repro list``) or explicit
 :class:`repro.core.registry.SweepSpec` objects (e.g. from
 :func:`repro.core.registry.adhoc_sweep`).  ``overrides`` narrows or
 retunes a sweep's axes without editing the registry — the same knobs the
-``run``/``export`` CLI flags expose.  Results come back as typed records
+``run`` CLI flags expose.  Results come back as typed records
 in a :class:`repro.results.set.ResultSet`; the payload wire format and
 cache schema underneath are exactly the runner's, so facade runs share
 cache entries bit-identically with every other consumer.
@@ -31,6 +32,8 @@ from dataclasses import replace
 
 from repro.core import registry
 from repro.core.registry import SweepSpec, resolve_scale
+from repro.results.convert import key_str
+from repro.results.record import record_from_payload
 from repro.results.set import ResultSet
 from repro.runner import GridRunner
 from repro.runner.cache import ResultCache
@@ -74,7 +77,7 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
         raise ValueError("duration %r must be positive" % (duration,))
     if warmup is not None and warmup < 0:
         raise ValueError("warmup %r must not be negative" % (warmup,))
-    scale = resolve_scale() if scale is None else scale
+    scale = resolve_scale(scale)
     scenarios = spec.scenario_axis(scale)
     buffer_axis = spec.buffer_axis(scale)
     if workloads:
@@ -111,7 +114,7 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
 
 def _prepare(name_or_spec, scale, overrides):
     spec = resolve_spec(name_or_spec)
-    scale = resolve_scale() if scale is None else scale
+    scale = resolve_scale(scale)
     if overrides:
         spec = apply_overrides(spec, scale=scale, **overrides)
     return spec, scale
@@ -123,9 +126,8 @@ def iter_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
     Yields typed :mod:`repro.results.record` values (cache hits first,
     then pool completions), each carrying its sweep cell ``key`` and
     task ``index``.  Feed the stream to
-    :meth:`repro.results.set.ResultSet.from_stream` to collect, or to a
-    :class:`repro.results.set.StreamAggregator` for constant-memory
-    aggregation over huge grids.
+    :meth:`repro.results.set.ResultSet.from_stream` to collect, or fold
+    it record by record to aggregate huge grids in constant memory.
     """
     spec, scale = _prepare(name_or_spec, scale, overrides)
     runner = runner or GridRunner()
@@ -160,15 +162,13 @@ def load_sweep(name_or_spec, *, scale=None, overrides=None, cache=None,
     spec, scale = _prepare(name_or_spec, scale, overrides)
     cache = cache or ResultCache()
     records = []
-    from repro.results.record import record_from_payload
-
     for index, (task, key) in enumerate(zip(spec.tasks(scale),
                                             spec.cells(scale))):
         payload = cache.get(task)
         if payload is None:
             if strict:
                 raise KeyError("cell %s of sweep %r is not cached"
-                               % ("/".join(str(p) for p in key), spec.name))
+                               % (key_str(key), spec.name))
             continue
         records.append(record_from_payload(task, payload, key=key,
                                            index=index))

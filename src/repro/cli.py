@@ -9,17 +9,14 @@ Subcommands
     prints each cell's content hash (the result-cache key input).
 ``run NAME``
     Execute a sweep through :func:`repro.api.run_sweep` and print one
-    summary line per cell (``--format table``, the default), or the
-    full results as ``--format csv|json``.
+    summary line per cell (``--format table``, the default), or its
+    :class:`repro.results.set.ResultSet` as ``--format csv|json`` — to
+    stdout or ``--output FILE``.  ``--cached-only`` loads the cached
+    cells through :func:`repro.api.load_sweep` and never simulates.
     ``--workers/--no-cache/--progress`` map to the runner knobs;
     ``--workloads/--buffers/--discipline/--duration/--warmup/--seed``
     override the spec's axes for ad-hoc runs (overridden runs use
     different cache keys than the registered grid, by design).
-``export NAME``
-    Run (or, with ``--cached-only``, load) a sweep and write its
-    :class:`repro.results.set.ResultSet` as CSV or JSON — to stdout or
-    ``--output FILE``.  Accepts the same runner knobs and axis
-    overrides as ``run``.
 ``figures``
     Print the text view of the report's figures (all of them, or the
     names given): the same :data:`repro.report.figures.REPORT_FIGURES`
@@ -42,7 +39,8 @@ Subcommands
     ``--profile SWEEP [--cell N]``.
 
 Exit status is 0 on success, 2 on bad arguments (argparse), 1 on
-runtime failure.
+runtime failure or a bad scale or worker count (flag or ``REPRO_*``
+variable).
 """
 
 import argparse
@@ -54,6 +52,7 @@ from repro.core import registry
 from repro.core.registry import REGISTRY, resolve_scale
 from repro.results import key_str
 from repro.runner import GridRunner
+from repro.runner.cache import ResultCache
 
 
 # ---------------------------------------------------------------------------
@@ -95,31 +94,22 @@ def _overrides_from(args):
 
 
 def _runner_from(args):
-    return GridRunner(workers=getattr(args, "workers", None),
-                      use_cache=not getattr(args, "no_cache", False),
-                      progress=True if getattr(args, "progress", False)
-                      else None)
-
-
-def _run_through_api(args, runner=None):
-    """Resolve/override/run one sweep for ``run``/``export``.
-
-    Returns ``(resolved spec, scale, ResultSet)`` — the spec already has
-    the CLI's axis overrides applied, so its cell count is the expected
-    result size.
-    """
-    spec = _get_spec(args.name)
-    scale = resolve_scale() if args.scale is None else args.scale
     try:
-        spec = api.apply_overrides(spec, scale=scale,
-                                   **_overrides_from(args))
-        if getattr(args, "cached_only", False):
-            results = api.load_sweep(spec, scale=scale)
-        else:
-            results = api.run_sweep(spec, scale=scale, runner=runner)
+        return GridRunner(
+            workers=getattr(args, "workers", None),
+            cache=(ResultCache(enabled=False)
+                   if getattr(args, "no_cache", False) else None),
+            progress=True if getattr(args, "progress", False) else None)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    return spec, scale, results
+
+
+def _scale(args):
+    """``--scale``, else ``REPRO_SCALE``; a bad value exits cleanly."""
+    try:
+        return resolve_scale(args.scale)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _print_runner_stats(runner):
@@ -142,7 +132,7 @@ def _get_spec(name):
 # Subcommands.
 # ---------------------------------------------------------------------------
 def cmd_list(args):
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     specs = list(REGISTRY.values())
     if args.json:
         print(json.dumps([spec.describe(scale) for spec in specs], indent=2))
@@ -166,7 +156,7 @@ def cmd_list(args):
 
 def cmd_describe(args):
     spec = _get_spec(args.name)
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     description = spec.describe(scale)
     if args.hashes:
         description["cell_hashes"] = {
@@ -200,39 +190,37 @@ def cmd_describe(args):
 
 
 def cmd_run(args):
-    runner = _runner_from(args)
-    spec, __, results = _run_through_api(args, runner=runner)
-    fmt = args.format or ("json" if args.json else "table")
-    if fmt == "json":
-        print(json.dumps({key_str(record.key): record.payload
-                          for record in results}, indent=2))
-    elif fmt == "csv":
-        print(results.to_csv(), end="")
-    else:
-        print("%s — %s (%d cells)" % (spec.name, spec.title, len(results)))
-        for record in results:
-            print("  %-40s %s" % (key_str(record.key), record.summary()))
-    _print_runner_stats(runner)
-    return 0
-
-
-def cmd_export(args):
-    runner = _runner_from(args)
-    spec, scale, results = _run_through_api(args, runner=runner)
+    runner = None if args.cached_only else _runner_from(args)
+    spec = _get_spec(args.name)
+    scale = _scale(args)
+    try:
+        spec = api.apply_overrides(spec, scale=scale,
+                                   **_overrides_from(args))
+        if args.cached_only:
+            results = api.load_sweep(spec, scale=scale)
+        else:
+            results = api.run_sweep(spec, scale=scale, runner=runner)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.cached_only:
         expected = spec.cell_count(scale)
         if not results:
-            print("export %s: no cached cells (run the sweep first, or "
+            print("run %s: no cached cells (run the sweep first, or "
                   "drop --cached-only)" % spec.name, file=sys.stderr)
             return 1
         if len(results) < expected:
             # A partial grid must never pass silently for analysis.
-            print("export %s: partial grid — only %d of %d cells cached"
+            print("run %s: partial grid — only %d of %d cells cached"
                   % (spec.name, len(results), expected), file=sys.stderr)
     if args.format == "json":
         text = results.to_json(indent=2) + "\n"
-    else:
+    elif args.format == "csv":
         text = results.to_csv()
+    else:
+        text = "".join(
+            ["%s — %s (%d cells)\n" % (spec.name, spec.title, len(results))]
+            + ["  %-40s %s\n" % (key_str(record.key), record.summary())
+               for record in results])
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -240,7 +228,7 @@ def cmd_export(args):
               file=sys.stderr)
     else:
         print(text, end="")
-    if not args.cached_only:
+    if runner is not None:
         _print_runner_stats(runner)
     return 0
 
@@ -253,7 +241,7 @@ def cmd_figures(args):
         names = validate_selection(args.names)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     runner = _runner_from(args)
     for name in names:
         figure = REPORT_FIGURES[name]
@@ -388,33 +376,21 @@ def build_parser():
     describe.add_argument("--scale", type=float, default=None)
     describe.set_defaults(fn=cmd_describe)
 
-    run = sub.add_parser("run", help="execute a sweep through the grid "
-                                     "runner and print per-cell summaries")
+    run = sub.add_parser("run", help="execute (or, with --cached-only, "
+                                     "load) a sweep and print per-cell "
+                                     "summaries, CSV or JSON")
     run.add_argument("name")
     _add_runner_arguments(run)
     _add_override_arguments(run)
     run.add_argument("--format", choices=("table", "csv", "json"),
-                     default=None,
+                     default="table",
                      help="output format (default: table)")
-    run.add_argument("--json", action="store_true",
-                     help="alias for --format json")
+    run.add_argument("--output", "-o", default=None,
+                     help="write to FILE instead of stdout")
+    run.add_argument("--cached-only", action="store_true",
+                     help="load cached cells only; never simulate "
+                          "(repro.api.load_sweep)")
     run.set_defaults(fn=cmd_run)
-
-    export = sub.add_parser(
-        "export", help="run (repro.api.run_sweep) or load from cache "
-                       "(repro.api.load_sweep) a sweep and write its "
-                       "typed ResultSet as CSV or JSON")
-    export.add_argument("name")
-    _add_runner_arguments(export)
-    _add_override_arguments(export)
-    export.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="export format (default: csv)")
-    export.add_argument("--output", "-o", default=None,
-                        help="write to FILE instead of stdout")
-    export.add_argument("--cached-only", action="store_true",
-                        help="export cached cells only; never simulate "
-                             "(repro.api.load_sweep)")
-    export.set_defaults(fn=cmd_export)
 
     figures = sub.add_parser(
         "figures", help="print the text view of the report's figures "

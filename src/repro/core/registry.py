@@ -31,6 +31,7 @@ same way.  Specs may also declare reduced axes (``scenarios_small``,
 ``buffers_small``) used below ``full_scale`` so quick runs stay quick.
 """
 
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -43,12 +44,24 @@ from repro.runner import CellTask
 from repro.runner.task import DISCIPLINES, KINDS
 
 
-def resolve_scale(default=1.0):
-    """Read the global fidelity knob (``REPRO_SCALE`` env var, float)."""
+def resolve_scale(scale=None):
+    """The fidelity multiplier: ``scale``, else ``REPRO_SCALE``, else 1.0.
+
+    This is the one scale check: anything but a finite number above
+    zero raises ValueError naming where the value came from.
+    """
+    source = "scale"
+    if scale is None:
+        source = "REPRO_SCALE"
+        scale = os.environ.get("REPRO_SCALE") or "1"
     try:
-        return float(os.environ.get("REPRO_SCALE", default))
-    except ValueError:
-        return default
+        value = float(scale)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("%s=%r is not a finite number above zero"
+                         % (source, scale))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +192,14 @@ class SweepSpec:
     # -- axis resolution ------------------------------------------------
     def scenario_axis(self, scale=None):
         """The scenario rows active at ``scale`` (REPRO_SCALE default)."""
-        scale = resolve_scale() if scale is None else scale
+        scale = resolve_scale(scale)
         if self.scenarios_small is not None and scale < self.full_scale:
             return self.scenarios_small
         return self.scenarios
 
     def buffer_axis(self, scale=None):
         """The buffer sizes (packets) active at ``scale``."""
-        scale = resolve_scale() if scale is None else scale
+        scale = resolve_scale(scale)
         if self.buffers_small is not None and scale < self.full_scale:
             return self.buffers_small
         return self.buffers
@@ -197,12 +210,12 @@ class SweepSpec:
 
     def resolved_duration(self, scale=None):
         """Measurement window in simulated seconds at ``scale``."""
-        scale = resolve_scale() if scale is None else scale
+        scale = resolve_scale(scale)
         return max(self.duration_min, self.duration * scale)
 
     def resolved_counts(self, scale=None):
         """Scale-dependent integer parameters, e.g. web fetch counts."""
-        scale = resolve_scale() if scale is None else scale
+        scale = resolve_scale(scale)
         return {name: max(minimum, int(round(base * scale)))
                 for name, base, minimum in self.counts}
 
@@ -287,7 +300,7 @@ class SweepSpec:
 
     def describe(self, scale=None):
         """JSON-ready summary with scale-resolved axes and durations."""
-        scale = resolve_scale() if scale is None else scale
+        scale = resolve_scale(scale)
         return {
             "name": self.name,
             "kind": self.kind,

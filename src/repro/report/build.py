@@ -6,7 +6,7 @@ results into ``<out>/index.md`` + one SVG per figure +
 
 * figures come from :data:`repro.report.figures.REPORT_FIGURES`;
 * verdicts come from :mod:`repro.report.fidelity`;
-* results stream through :func:`repro.api.iter_sweep` (so a warm cache
+* results come from :func:`repro.api.run_sweep` (so a warm cache
   re-simulates nothing and a cold one shows per-cell progress with the
   usual runner knobs), or through :func:`repro.api.load_sweep` when
   ``cached_only`` — which never simulates and reports partial coverage
@@ -23,6 +23,7 @@ import json
 import os
 import sys
 
+from repro.core.registry import resolve_scale
 from repro.report import fidelity as fidelity_mod
 from repro.report.figures import REPORT_FIGURES, figure_names
 
@@ -49,10 +50,11 @@ def validate_selection(names, sample=False, scale=None):
 
     The single home of the usage checks shared by the CLI (which turns
     the ValueError into a clean exit) and :func:`generate_report`:
-    unknown figure names, and ``sample`` conflicting with explicit
-    names or a scale override — the sample is fully pinned, and
-    silently overriding an explicit choice would lie about what was
-    built.  Returns the figure names to render.
+    unknown figure names, a bad scale (see
+    :func:`repro.core.registry.resolve_scale`), and ``sample``
+    conflicting with explicit names or a scale override — the sample is
+    fully pinned, and silently overriding an explicit choice would lie
+    about what was built.  Returns the figure names to render.
     """
     if sample:
         if names:
@@ -63,22 +65,13 @@ def validate_selection(names, sample=False, scale=None):
             raise ValueError("--sample is pinned to scale 1.0 — drop "
                              "the scale override")
         return list(SAMPLE_FIGURES)
+    resolve_scale(scale)
     names = list(names) if names else figure_names()
     unknown = [name for name in names if name not in REPORT_FIGURES]
     if unknown:
         raise ValueError("no report figure for %s (have: %s)" % (
             ", ".join(sorted(unknown)), ", ".join(figure_names())))
     return names
-
-
-def _load_results(spec, scale, cached_only, runner):
-    from repro import api
-    from repro.results.set import ResultSet
-
-    if cached_only:
-        return api.load_sweep(spec, scale=scale)
-    return ResultSet.from_stream(
-        api.iter_sweep(spec, scale=scale, runner=runner))
 
 
 def _fmt_metric(value):
@@ -176,12 +169,11 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
     """
     from repro import api
     from repro.core import registry
-    from repro.core.registry import resolve_scale
 
     names = validate_selection(names, sample=sample, scale=scale)
     if sample:
         scale = 1.0
-    scale = resolve_scale() if scale is None else scale
+    scale = resolve_scale(scale)
 
     os.makedirs(out_dir, exist_ok=True)
     # The directory must stay self-contained: drop SVGs of report
@@ -201,7 +193,8 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
             if sample and name in SAMPLE_OVERRIDES:
                 spec = api.apply_overrides(spec, scale=scale,
                                            **SAMPLE_OVERRIDES[name])
-            results = _load_results(spec, scale, cached_only, runner)
+            results = (api.load_sweep(spec, scale=scale) if cached_only
+                       else api.run_sweep(spec, scale=scale, runner=runner))
             expected = spec.cell_count(scale)
             present = len(results)
         markup = figure.svg(results, spec, scale)

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.core import paper_data
 from repro.qoe.scales import G114_ACCEPTABLE_MS, G114_PROBLEMATIC_MS
+from repro.sim.stats import five_number_summary
 
 PASS, WARN, FAIL, SKIP = "PASS", "WARN", "FAIL", "SKIP"
 
@@ -575,11 +576,11 @@ def _ms(column):
     return in_ms
 
 
-def _median(boxplot):
-    """The median of a QoS record's utilization boxplot method (what
+def _median(samples):
+    """The median of a QoS record's per-second utilization samples (what
     :class:`repro.report.figures.Boxes` draws as Figure 5's line)."""
     def median(record):
-        return getattr(record, boxplot)()[2]
+        return five_number_summary(record.payload[samples])[2]
     return median
 
 
@@ -635,13 +636,13 @@ CHECKS = {
         # The uplink is pinned near 100%; the downlink suffers at some
         # sizes and not at others.
         shapes=(Shape("up median > 0.8",
-                      _median("up_utilization_boxplot"),
+                      _median("up_utilization_samples"),
                       ("long-many", "*"), ">", 0.8),
                 Shape("max down median > 0.55",
-                      _median("down_utilization_boxplot"),
+                      _median("down_utilization_samples"),
                       ("long-many", "*"), ">", 0.55, reduce=("max",)),
                 Shape("min down median < max",
-                      _median("down_utilization_boxplot"),
+                      _median("down_utilization_samples"),
                       ("long-many", "*"), "<", than=("long-many", "*"),
                       reduce=("min", "max"))),
         notes="Figure 5's boxplots are not digitized; the check anchors "

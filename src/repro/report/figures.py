@@ -35,6 +35,7 @@ from repro.core.buffers import access_buffer_delays, backbone_buffer_delays
 from repro.core.paper_data import DIGITIZED
 from repro.qoe.scales import heat_marker_from_delay, heat_marker_from_mos
 from repro.report import svg
+from repro.sim.stats import five_number_summary
 from repro.viz.heatmap import render_grid, render_table
 
 
@@ -183,10 +184,11 @@ def _web(figure, title, heading):
 class Boxes:
     """Per-buffer boxplots of one workload's per-second samples.
 
-    ``series`` is ``(SVG label, text label, boxplot method)`` triples;
-    each method returns (min, q1, median, q3, max) fractions, shown in
-    percent.  The SVG view draws the median line plus the quartile
-    band; the text view prints all five numbers per buffer and series.
+    ``series`` is ``(SVG label, text label, samples field)`` triples;
+    each field is a payload list of per-second fractions, summarized as
+    (min, q1, median, q3, max) and shown in percent.  The SVG view
+    draws the median line plus the quartile band; the text view prints
+    all five numbers per buffer and series.
     """
 
     title: str  # SVG title
@@ -206,8 +208,9 @@ class Boxes:
             record = results[key] if key in results else None
             boxes.append((buffer_packets, [
                 None if record is None else
-                [value * 100.0 for value in getattr(record, method)()]
-                for __, __, method in self.series]))
+                [value * 100.0 for value
+                 in five_number_summary(record.payload[samples])]
+                for __, __, samples in self.series]))
         return boxes
 
     def svg(self, results, spec, scale):
@@ -410,8 +413,8 @@ REPORT_FIGURES = {figure.name: figure for figure in (
                        "bidirectional long workload",
                        "Figure 5: link utilization, bidirectional long "
                        "workload (8 up/64 down)",
-                       (("downlink", "down", "down_utilization_boxplot"),
-                        ("uplink", "up", "up_utilization_boxplot")),
+                       (("downlink", "down", "down_utilization_samples"),
+                        ("uplink", "up", "up_utilization_samples")),
                        "utilization [%] (median, quartile band)",
                        (0.0, 102.0), (0, 25, 50, 75, 100))),
     ReportFigure("table1-access", "table1-access",

@@ -2,8 +2,8 @@
 
 Every grid cell's JSON payload (the wire format the runner produces and
 caches — untouched by this package) is wrapped in a frozen typed record
-(:mod:`repro.results.record`), and collections of records form a
-queryable, exportable :class:`ResultSet` (:mod:`repro.results.set`).
+(:mod:`repro.results.record`), and collections of records form an
+exportable :class:`ResultSet` (:mod:`repro.results.set`).
 :mod:`repro.results.convert` holds the canonical payload→JSON plumbing
 that used to be duplicated across the runner and the CLI.
 
@@ -14,7 +14,6 @@ live one level up, in :mod:`repro.api`.
 from repro.results.convert import (
     flatten_metrics,
     format_buffer,
-    jsonable_payload,
     jsonify,
     key_str,
 )
@@ -26,27 +25,20 @@ from repro.results.record import (
     VoipResult,
     WebResult,
     record_from_payload,
-    revive_qos,
-    summarize,
 )
-from repro.results.set import ResultSet, StreamAggregator, aggregate_stream
+from repro.results.set import ResultSet
 
 __all__ = [
     "CellResult",
     "QosResult",
     "RECORD_TYPES",
     "ResultSet",
-    "StreamAggregator",
     "VideoResult",
     "VoipResult",
     "WebResult",
-    "aggregate_stream",
     "flatten_metrics",
     "format_buffer",
-    "jsonable_payload",
     "jsonify",
     "key_str",
     "record_from_payload",
-    "revive_qos",
-    "summarize",
 ]

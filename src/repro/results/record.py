@@ -17,35 +17,20 @@ produced it, and gives every kind the same uniform surface:
 ``.metrics``
     Flat ``{name: number}`` dict of every scalar metric in the payload
     (nested dicts are dot-joined, e.g. ``delay.talks``).
-``.qoe``
-    The cell's headline MOS-scale score, where defined (None for pure
-    QoS cells).
 
-Kind-specific conveniences: :class:`QosResult` revives the study layer's
-:class:`repro.core.experiment.QosReport` (and delegates attribute access
-to it), while the QoE kinds support dict-style access to their payload,
-so existing ``cell["talks"]`` / ``report.up_mean_delay`` call sites keep
-working against records.
+Every record is read one way, :meth:`CellResult.value`, which looks a
+name up among the axes, then the params, then the metrics; ``payload``
+is the raw escape hatch for series and other non-scalar entries.  The
+per-kind classes differ only in their one-line :meth:`summary`.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.results.convert import flatten_metrics, format_buffer
+from repro.results.convert import flatten_metrics, format_buffer, key_str
 
 #: Record classes by cell kind, filled in below.
 RECORD_TYPES = {}
-
-
-def revive_qos(payload, buffer_packets):
-    """Rebuild a :class:`repro.core.experiment.QosReport` from a qos cell
-    payload (what :attr:`QosResult.report` returns)."""
-    from repro.core.experiment import QosReport
-
-    fields = dict(payload)
-    # JSON turned a (down, up) tuple into a list; restore from the axis.
-    fields["buffer_packets"] = buffer_packets
-    return QosReport(**fields)
 
 
 def _register(cls):
@@ -88,19 +73,13 @@ class CellResult:
         """Every scalar numeric metric of the payload, flattened.
 
         Memoized: the record is frozen and payloads are never mutated,
-        and the ResultSet verbs (filter/pivot/sort) hit this per record
-        several times.
+        and ``ResultSet.filter``/``value_map`` hit this per record.
         """
         cached = self.__dict__.get("_metrics")
         if cached is None:
             cached = flatten_metrics(self.payload)
             object.__setattr__(self, "_metrics", cached)
         return cached
-
-    @property
-    def qoe(self):
-        """Headline MOS-scale score of the cell; None where undefined."""
-        return None
 
     def value(self, name):
         """Uniform column lookup: record axes, then params, then metrics.
@@ -111,7 +90,7 @@ class CellResult:
         if name == "buffer":
             name = "buffer_packets"
         if name in ("kind", "scenario", "buffer_packets", "seed",
-                    "discipline", "key", "index", "qoe"):
+                    "discipline", "key", "index"):
             return getattr(self, name)
         params = self.params_dict
         if name in params:
@@ -138,7 +117,7 @@ class CellResult:
             "discipline": self.discipline,
         }
         if self.key is not None:
-            row["key"] = "/".join(str(part) for part in self.key)
+            row["key"] = key_str(self.key)
         for name, value in sorted(self.params_dict.items()):
             if isinstance(value, (list, tuple)):
                 value = json.dumps(list(value))
@@ -150,19 +129,6 @@ class CellResult:
         """One-line human summary of the cell (the CLI's per-cell line)."""
         return str(self.payload)
 
-    # -- dict-style payload access ---------------------------------------
-    def __getitem__(self, name):
-        return self.payload[name]
-
-    def get(self, name, default=None):
-        try:
-            return self.payload.get(name, default)
-        except AttributeError:
-            return default
-
-    def keys(self):
-        return self.payload.keys()
-
 
 @_register
 @dataclass(frozen=True)
@@ -170,23 +136,6 @@ class QosResult(CellResult):
     """Background-traffic QoS cell (Table 1 / Figures 4-5)."""
 
     kind = "qos"
-
-    @property
-    def report(self):
-        """The revived :class:`repro.core.experiment.QosReport`."""
-        cached = self.__dict__.get("_report")
-        if cached is None:
-            cached = revive_qos(self.payload, self.buffer_packets)
-            object.__setattr__(self, "_report", cached)
-        return cached
-
-    def __getattr__(self, name):
-        # Delegate unknown attributes (utilizations, boxplot helpers,
-        # ...) to the revived report so records are drop-in replacements
-        # for QosReport at read sites.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.report, name)
 
     def summary(self):
         payload = self.payload
@@ -206,27 +155,6 @@ class VoipResult(CellResult):
 
     kind = "voip"
 
-    @property
-    def directions(self):
-        """Call directions present in the cell, sorted."""
-        return tuple(sorted(name for name, value in self.payload.items()
-                            if isinstance(value, (int, float))))
-
-    def mos(self, direction):
-        """Median combined MOS of one direction."""
-        return self.payload[direction]
-
-    def delay(self, direction):
-        """Median mouth-to-ear delay (seconds) of one direction."""
-        return self.payload["delay"][direction]
-
-    @property
-    def qoe(self):
-        """The call's governing MOS: the worse of its directions."""
-        scores = [value for name, value in self.payload.items()
-                  if isinstance(value, (int, float))]
-        return min(scores) if scores else None
-
     def summary(self):
         payload = self.payload
         parts = ["%s MOS %.1f" % (direction, mos)
@@ -245,26 +173,6 @@ class VideoResult(CellResult):
 
     kind = "video"
 
-    @property
-    def ssim(self):
-        return self.payload["ssim"]
-
-    @property
-    def psnr(self):
-        return self.payload["psnr"]
-
-    @property
-    def mos(self):
-        return self.payload["mos"]
-
-    @property
-    def packet_loss(self):
-        return self.payload["packet_loss"]
-
-    @property
-    def qoe(self):
-        return self.payload["mos"]
-
     def summary(self):
         payload = self.payload
         return "SSIM %.2f  MOS %.1f  pkt loss %.1f%%" % (
@@ -277,26 +185,6 @@ class WebResult(CellResult):
     """Web page-load cell (Figures 10-11): PLT series and G.1030 MOS."""
 
     kind = "web"
-
-    @property
-    def median_plt(self):
-        return self.payload["median_plt"]
-
-    @property
-    def p80_plt(self):
-        return self.payload["p80_plt"]
-
-    @property
-    def plts(self):
-        return self.payload["plts"]
-
-    @property
-    def mos(self):
-        return self.payload["mos"]
-
-    @property
-    def qoe(self):
-        return self.payload["mos"]
 
     def summary(self):
         payload = self.payload
@@ -312,13 +200,3 @@ def record_from_payload(task, payload, key=None, index=None):
         raise ValueError("no record type for cell kind %r (have %s)"
                          % (task.kind, sorted(RECORD_TYPES))) from None
     return cls.from_payload(task, payload, key=key, index=index)
-
-
-def summarize(kind, payload):
-    """One-line human summary of a raw payload (record-free helper)."""
-    cls = RECORD_TYPES.get(kind)
-    if cls is None:
-        return str(payload)
-    record = cls(scenario="", buffer_packets=0, seed=0, discipline="",
-                 params=(), payload=payload)
-    return record.summary()

@@ -1,17 +1,17 @@
-"""Columnar result collections and streaming aggregation.
+"""Ordered, exportable collections of cell records.
 
 A :class:`ResultSet` is an ordered list of typed records (see
-:mod:`repro.results.record`) with a lazily-built column index, so
-cross-sweep analysis — the paper's whole point — is a handful of
-``filter``/``group_by``/``pivot`` calls instead of hand-rolled dict
-plumbing at every call site.
+:mod:`repro.results.record`), indexable by position or by sweep cell
+key.  It has two read verbs — :meth:`ResultSet.filter` and
+:meth:`ResultSet.value_map`, the ``{cell key: value}`` grid the report
+layer consumes — and one writer per format (:meth:`ResultSet.to_csv`,
+:meth:`ResultSet.to_json`).  Anything else is a comprehension over
+records and :meth:`repro.results.record.CellResult.value`.
 
-For grids too large to hold in memory, :class:`StreamAggregator` folds
-the records of :meth:`repro.runner.grid.GridRunner.iter_run` into
-per-group running statistics (count/sum/mean/min/max) in constant
-memory; :meth:`ResultSet.from_stream` is the collecting counterpart and
-restores task order, so a collected stream equals the batch
-:func:`repro.api.run_sweep` result exactly.
+:meth:`ResultSet.from_stream` collects the records of
+:meth:`repro.runner.grid.GridRunner.iter_run` and restores task order,
+so a collected stream equals the batch :func:`repro.api.run_sweep`
+result exactly.
 """
 
 import csv
@@ -32,11 +32,10 @@ def _unwrap(item):
 class ResultSet:
     """An ordered, queryable collection of cell records."""
 
-    __slots__ = ("_records", "_columns", "_by_key")
+    __slots__ = ("_records", "_by_key")
 
     def __init__(self, records=()):
         self._records = [_unwrap(record) for record in records]
-        self._columns = {}  # lazy column cache: name -> list of values
         self._by_key = None  # lazy cell-key index
 
     # -- construction ----------------------------------------------------
@@ -64,10 +63,6 @@ class ResultSet:
         return cls(records)
 
     # -- basic protocol --------------------------------------------------
-    @property
-    def records(self):
-        return list(self._records)
-
     def __len__(self):
         return len(self._records)
 
@@ -107,14 +102,7 @@ class ResultSet:
             self._by_key = index
         return self._by_key
 
-    # -- columnar access -------------------------------------------------
-    def column(self, name):
-        """All values of one column (axis, param or metric), in order."""
-        if name not in self._columns:
-            self._columns[name] = [record.value(name)
-                                   for record in self._records]
-        return list(self._columns[name])
-
+    # -- queries ---------------------------------------------------------
     def value_map(self, column, **filters):
         """``{cell key: column value}`` for records matching ``filters``.
 
@@ -137,7 +125,6 @@ class ResultSet:
             grid[record.key] = record.value(column)
         return grid
 
-    # -- relational verbs ------------------------------------------------
     def filter(self, predicate=None, **columns):
         """Records matching ``predicate`` and every column constraint.
 
@@ -158,60 +145,6 @@ class ResultSet:
 
         return ResultSet(record for record in self._records
                          if match(record))
-
-    def group_by(self, *names):
-        """``{group value(s): ResultSet}`` in first-seen order."""
-        groups = {}
-        for record in self._records:
-            value = tuple(record.value(name) for name in names)
-            if len(names) == 1:
-                value = value[0]
-            groups.setdefault(value, []).append(record)
-        return {value: ResultSet(records)
-                for value, records in groups.items()}
-
-    def aggregate(self, value, agg="mean", by=()):
-        """Aggregate one column, optionally per group.
-
-        ``agg`` is ``count``/``sum``/``mean``/``min``/``max``/``median``
-        or a callable over the value list.  Returns a scalar, or a
-        ``{group: scalar}`` dict when ``by`` columns are given.
-        """
-        if isinstance(by, str):
-            by = (by,)
-        if by:
-            return {group: subset.aggregate(value, agg=agg)
-                    for group, subset in self.group_by(*by).items()}
-        values = self.column(value)
-        return _AGGREGATIONS[agg](values) if not callable(agg) \
-            else agg(values)
-
-    def pivot(self, rows, cols, value, agg="mean"):
-        """``{(row value, col value): aggregated value}`` — heatmap shape.
-
-        ``rows``/``cols``/``value`` are column names; cells with several
-        records (e.g. extra axes left unpinned) are reduced with ``agg``.
-        """
-        buckets = {}
-        for record in self._records:
-            cell = (record.value(rows), record.value(cols))
-            buckets.setdefault(cell, []).append(record.value(value))
-        reduce = _AGGREGATIONS[agg] if not callable(agg) else agg
-        return {cell: reduce(values) for cell, values in buckets.items()}
-
-    def sort(self, *names, reverse=False):
-        """New set ordered by the given columns."""
-        return ResultSet(sorted(
-            self._records,
-            key=lambda record: tuple(record.value(name) for name in names),
-            reverse=reverse))
-
-    def merge(self, *others):
-        """New set with the records of ``self`` and every other set."""
-        records = list(self._records)
-        for other in others:
-            records.extend(other)
-        return ResultSet(records)
 
     # -- exporters -------------------------------------------------------
     def to_rows(self):
@@ -265,81 +198,3 @@ class ResultSet:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return text
-
-
-def _median(values):
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of an empty column")
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-_AGGREGATIONS = {
-    "count": len,
-    "sum": sum,
-    "mean": lambda values: sum(values) / len(values),
-    "min": min,
-    "max": max,
-    "median": _median,
-}
-
-
-class StreamAggregator:
-    """Constant-memory running aggregation over a record stream.
-
-    Accepts the ``(task, record)`` pairs of
-    :meth:`repro.runner.grid.GridRunner.iter_run` (or bare records) and
-    keeps only per-group counters — never the records — so arbitrarily
-    large grids aggregate in O(groups) memory::
-
-        agg = StreamAggregator("mos", by=("scenario",))
-        agg.consume(api.iter_sweep("fig7b"))
-        agg.result()  # {"noBG": {"count": ..., "mean": ..., ...}, ...}
-    """
-
-    def __init__(self, value, by=()):
-        self.value = value
-        self.by = (by,) if isinstance(by, str) else tuple(by)
-        self._groups = {}
-
-    def add(self, item):
-        record = _unwrap(item)
-        group = tuple(record.value(name) for name in self.by)
-        if len(self.by) == 1:
-            group = group[0]
-        value = record.value(self.value)
-        state = self._groups.get(group)
-        if state is None:
-            self._groups[group] = [1, value, value, value]
-        else:
-            state[0] += 1
-            state[1] += value
-            state[2] = min(state[2], value)
-            state[3] = max(state[3], value)
-        return self
-
-    def consume(self, stream):
-        for item in stream:
-            self.add(item)
-        return self
-
-    def result(self):
-        """``{group: {count, sum, mean, min, max}}`` (or one flat dict
-        when no ``by`` columns were given).  An empty group-less stream
-        reports ``count 0`` with ``mean/min/max`` of None — 'no data'
-        must not read as an all-zero aggregate."""
-        out = {group: {"count": count, "sum": total,
-                       "mean": total / count, "min": low, "max": high}
-               for group, (count, total, low, high) in self._groups.items()}
-        if not self.by:
-            return out.get((), {"count": 0, "sum": 0.0, "mean": None,
-                                "min": None, "max": None})
-        return out
-
-
-def aggregate_stream(stream, value, by=()):
-    """One-shot helper: fold a stream and return the aggregate result."""
-    return StreamAggregator(value, by=by).consume(stream).result()

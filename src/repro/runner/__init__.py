@@ -9,8 +9,10 @@ content hash plus a fingerprint of the package sources.
 
 Knobs (environment variables):
 
-* ``REPRO_WORKERS`` — worker process count (default: all cores).
-* ``REPRO_CACHE`` — set to ``0`` to disable the result cache.
+* ``REPRO_WORKERS`` — worker process count, an integer of at least one
+  (default: all cores); anything else raises ValueError.
+* ``REPRO_CACHE`` — set to ``0`` to disable the result cache (in code:
+  ``GridRunner(cache=ResultCache(enabled=False))``).
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.repro_cache``).
 * ``REPRO_PROGRESS`` — set to ``1`` for per-cell progress/ETA lines.
 """

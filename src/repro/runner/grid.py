@@ -20,17 +20,23 @@ from repro.runner.execute import execute_task
 
 
 def resolve_workers(workers=None):
-    """Worker count: explicit arg > ``REPRO_WORKERS`` env > cpu count."""
+    """Worker count: explicit arg > ``REPRO_WORKERS`` env > cpu count.
+
+    Anything but an integer of at least one raises ValueError naming
+    where the value came from.
+    """
+    source = "workers"
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                workers = None
-        if workers is None:
-            workers = os.cpu_count() or 1
-    return max(1, int(workers))
+        source = "REPRO_WORKERS"
+        workers = os.environ.get("REPRO_WORKERS") or os.cpu_count() or 1
+    try:
+        value = int(str(workers))
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError("%s=%r is not an integer of at least one"
+                         % (source, workers))
+    return value
 
 
 def _progress_enabled_by_env():
@@ -49,15 +55,15 @@ class GridRunner:
         pool), which keeps tracebacks and debuggers usable.
     cache:
         A :class:`repro.runner.cache.ResultCache`; None builds the
-        default one.  Pass ``use_cache=False`` to disable caching.
+        default one.  Pass ``ResultCache(enabled=False)`` to disable
+        caching.
     progress:
         Emit per-cell progress/ETA lines; None reads ``REPRO_PROGRESS``.
     """
 
-    def __init__(self, workers=None, cache=None, use_cache=True,
-                 progress=None, log=None):
+    def __init__(self, workers=None, cache=None, progress=None, log=None):
         self.workers = resolve_workers(workers)
-        self.cache = (cache or ResultCache()) if use_cache else None
+        self.cache = cache or ResultCache()
         self.progress = (_progress_enabled_by_env() if progress is None
                          else progress)
         self._log = log or (lambda message: print(
@@ -71,8 +77,8 @@ class GridRunner:
 
         Cache hits stream first (in task order), then computed cells in
         completion order — so incremental consumers (progress UIs,
-        :class:`repro.results.set.StreamAggregator`) see results as soon
-        as they exist, in constant memory.  Records are typed
+        running aggregates) see results as soon as they exist, in
+        constant memory.  Records are typed
         :mod:`repro.results.record` values; ``keys`` optionally supplies
         the sweep cell key stored on each record, aligned with
         ``tasks``.  Each record carries its task ``index``, so
@@ -111,7 +117,7 @@ class GridRunner:
 
         try:
             for index, task in enumerate(tasks):
-                payload = self.cache.get(task) if self._caching else None
+                payload = self.cache.get(task) if self.cache.enabled else None
                 if payload is None:
                     pending.append(index)
                 else:
@@ -170,12 +176,8 @@ class GridRunner:
         stats()
 
     # ------------------------------------------------------------------
-    @property
-    def _caching(self):
-        return self.cache is not None and self.cache.enabled
-
     def _finish(self, task, payload, done, total, started):
-        if self._caching:
+        if self.cache.enabled:
             self.cache.put(task, payload)
         if done and total:
             elapsed = time.monotonic() - started

@@ -19,7 +19,6 @@ simulator has no RSTs/ICMP; nothing in the study needs them).
 
 from heapq import heappush
 
-from repro.sim import packet as _packet_module
 from repro.sim.packet import _POOL_CAP as _PACKET_POOL_CAP
 from repro.sim.packet import _pool as _packet_pool
 
@@ -140,8 +139,7 @@ class Node:
         # The packet has left the simulation: recycle it (inline
         # Packet.release — one call per delivered packet).  Transport
         # callbacks must not have kept a reference (pooling contract).
-        if (_packet_module.POOL_ENABLED and not packet._pooled
-                and len(_packet_pool) < _PACKET_POOL_CAP):
+        if not packet._pooled and len(_packet_pool) < _PACKET_POOL_CAP:
             packet._pooled = True
             _packet_pool.append(packet)
 

@@ -20,8 +20,7 @@ simulation: final delivery to a local transport endpoint
 (:meth:`repro.sim.node.Node.receive`) and corruption loss on the wire
 (:meth:`repro.sim.link.Interface._tx_done`).  Packet ids keep their
 global allocation order whether or not a packet came from the pool, so
-pooled runs are bit-identical to unpooled runs
-(``REPRO_PACKET_POOL=0`` disables the pool entirely).
+a recycled packet never changes a result.
 
 The contract for transport/application callbacks: **do not retain a
 reference to a delivered Packet past the callback** — keep the
@@ -29,7 +28,6 @@ reference to a delivered Packet past the callback** — keep the
 docs/ARCHITECTURE.md.
 """
 
-import os
 from itertools import count
 
 # TCP flag bits.
@@ -49,8 +47,6 @@ _packet_ids = count(1)
 #: pathological run cannot pin unbounded memory in dead packets.
 _pool = []
 _POOL_CAP = 8192
-
-POOL_ENABLED = os.environ.get("REPRO_PACKET_POOL", "1") != "0"
 
 
 class Packet:
@@ -182,12 +178,12 @@ class Packet:
         """Return this packet to the free list (sim-core use only).
 
         Safe to call on any packet at an ownership boundary: double
-        releases and releases with pooling disabled are no-ops.  The
+        releases are no-ops.  The
         ``payload`` reference is kept intact until the instance is
         actually reused, so late readers of an already-released packet
         (tests, logs) still see its final state.
         """
-        if POOL_ENABLED and not self._pooled and len(_pool) < _POOL_CAP:
+        if not self._pooled and len(_pool) < _POOL_CAP:
             self._pooled = True
             _pool.append(self)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.core.registry import access, adhoc_sweep
-from repro.results import ResultSet, StreamAggregator
+from repro.results import ResultSet
 from repro.runner import GridRunner, ResultCache, execute_task
 
 
@@ -92,15 +92,6 @@ class TestStreaming:
         assert streamed == batch
         assert streamed.keys() == batch.keys()
 
-    def test_stream_aggregation_over_iter_sweep(self, tmp_path):
-        spec = tiny_spec()
-        agg = StreamAggregator("down_utilization", by="buffer")
-        agg.consume(api.iter_sweep(spec, scale=1.0,
-                                   runner=runner_for(tmp_path)))
-        stats = agg.result()
-        assert set(stats) == {8, 16}
-        assert all(entry["count"] == 1 for entry in stats.values())
-
     @pytest.mark.parametrize("workers", [1, 4])
     def test_iter_run_bit_identical_to_run(self, tmp_path, workers):
         """iter_run at 1 and 4 workers vs running each cell directly."""
@@ -114,7 +105,7 @@ class TestStreaming:
         # from_stream restores task order, so records align with batch.
         assert len(streamed) == len(batch)
         for record, direct in zip(streamed, batch):
-            assert record.report == direct.report  # bit-identical payloads
+            assert record.payload == direct.payload  # bit-identical
         assert [r.index for r in streamed] == [0, 1, 2, 3]
         assert runner.last_stats["failed"] is False
 

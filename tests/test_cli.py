@@ -32,6 +32,37 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["describe", "fig99"])
 
+    def test_export_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as info:
+            main(["export", "fig5"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("value", ["fast", "-3", "inf", "nan"])
+    def test_bad_env_scale_exits_cleanly(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        for argv in (["list"], ["describe", "fig10a"],
+                     ["report", "fig5", "--cached-only"]):
+            with pytest.raises(SystemExit,
+                               match="REPRO_SCALE='%s'" % value) as info:
+                main(argv)
+            assert info.value.code != 0
+
+    def test_bad_scale_flag_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="scale=-2.0"):
+            main(["list", "--scale", "-2"])
+
+    @pytest.mark.parametrize("env, flags, message", [
+        ("two", (), "REPRO_WORKERS='two'"),
+        ("-4", (), "REPRO_WORKERS='-4'"),
+        ("1", ("--workers", "0"), "workers=0"),
+    ])
+    def test_bad_workers_exit_cleanly(self, monkeypatch, capsys, env, flags,
+                                      message):
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "wireless-qos", "--no-cache"] + list(flags))
+        assert capsys.readouterr().out == ""
+
 
 class TestList:
     def test_lists_every_registered_sweep(self, capsys):
@@ -81,11 +112,11 @@ class TestRun:
     def test_json_run(self, capsys):
         code = main(["run", "wireless-qos", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
-                     "--no-cache", "--json"])
+                     "--no-cache", "--format", "json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "long-few/8" in payload
-        assert payload["long-few/8"]["duration"] == 2.0
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["key"] == ["long-few", 8]
+        assert entry["payload"]["duration"] == 2.0
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -121,10 +152,10 @@ class TestRun:
         monkeypatch.setenv("REPRO_SCALE", "4")
         code = main(["run", "wireless-qos", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
-                     "--no-cache", "--json"])
+                     "--no-cache", "--format", "json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["long-few/8"]["duration"] == 2.0
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["payload"]["duration"] == 2.0
 
     def test_per_direction_buffer_override(self, capsys):
         code = main(["run", "wireless-qos", "--workloads", "long-few",
@@ -132,14 +163,6 @@ class TestRun:
                      "1", "--no-cache"])
         assert code == 0
         assert "long-few/(16, 4)" in capsys.readouterr().out
-
-    def test_format_json_matches_json_flag(self, capsys):
-        argv = ["run", "wireless-qos", "--workloads", "long-few",
-                "--buffers", "8", "--duration", "2", "--warmup", "1"]
-        assert main(argv + ["--json"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(argv + ["--format", "json"]) == 0
-        assert capsys.readouterr().out == legacy
 
     def test_format_csv(self, capsys):
         code = main(["run", "wireless-qos", "--workloads", "long-few",
@@ -152,16 +175,17 @@ class TestRun:
         assert float(rows[0]["down_utilization"]) > 0.0
 
 
-#: One tiny export per cell kind (the CI smoke runs the same quartet).
+#: One tiny CSV export per cell kind (the CI smoke runs the same quartet).
 EXPORT_CASES = {
-    "qos": ["export", "wireless-qos", "--workloads", "long-few",
-            "--buffers", "8", "--duration", "1", "--warmup", "0.5"],
-    "voip": ["export", "fig7a", "--workloads", "noBG", "--buffers", "8",
-             "--duration", "1", "--warmup", "0.5"],
-    "video": ["export", "fig9a", "--workloads", "noBG", "--buffers", "8",
-              "--duration", "1", "--warmup", "0.5"],
-    "web": ["export", "fig10b", "--workloads", "noBG", "--buffers", "8",
-            "--warmup", "0.5"],
+    "qos": ["run", "wireless-qos", "--workloads", "long-few",
+            "--buffers", "8", "--duration", "1", "--warmup", "0.5",
+            "--format", "csv"],
+    "voip": ["run", "fig7a", "--workloads", "noBG", "--buffers", "8",
+             "--duration", "1", "--warmup", "0.5", "--format", "csv"],
+    "video": ["run", "fig9a", "--workloads", "noBG", "--buffers", "8",
+              "--duration", "1", "--warmup", "0.5", "--format", "csv"],
+    "web": ["run", "fig10b", "--workloads", "noBG", "--buffers", "8",
+            "--warmup", "0.5", "--format", "csv"],
 }
 
 
@@ -179,7 +203,8 @@ class TestExport:
             float(row[metric])
 
     def test_json_format(self, capsys):
-        assert main(EXPORT_CASES["qos"] + ["--format", "json"]) == 0
+        argv = [arg if arg != "csv" else "json" for arg in EXPORT_CASES["qos"]]
+        assert main(argv) == 0
         entries = json.loads(capsys.readouterr().out)
         assert len(entries) == 1
         assert entries[0]["kind"] == "qos"

@@ -51,7 +51,7 @@ def test_readme_links_the_docs():
 def test_readme_quickstart_uses_the_facade():
     readme = read("README.md")
     assert "api.run_sweep" in readme
-    assert "python -m repro export" in readme
+    assert "python -m repro run" in readme
 
 
 def test_architecture_doc_covers_the_layers():
@@ -65,7 +65,7 @@ def test_architecture_doc_covers_the_layers():
 def test_results_doc_covers_the_api():
     results = read("docs/RESULTS.md")
     for name in ("run_sweep", "iter_sweep", "load_sweep", "ResultSet",
-                 "StreamAggregator", "to_csv", "to_json",
+                 "to_csv", "to_json",
                  "QosResult", "VoipResult", "VideoResult", "WebResult"):
         assert name in results, name
 

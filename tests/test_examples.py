@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.runner import GridRunner
+from repro.runner import GridRunner, ResultCache
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "examples")
@@ -42,7 +42,8 @@ def test_quickstart_tiny(capsys):
 def test_bufferbloat_voip_tiny(capsys):
     load_example("bufferbloat_voip").main(
         buffers=(8,), workloads=("noBG",), warmup=1.0, duration=1.5,
-        runner=GridRunner(workers=1, use_cache=False, progress=False))
+        runner=GridRunner(workers=1, cache=ResultCache(enabled=False),
+                          progress=False))
     assert "user TALKS" in capsys.readouterr().out
 
 

@@ -143,6 +143,27 @@ class TestScaleResolution:
         assert registry.resolve_scale() == 4.0
         assert len(get("fig7b").scenario_axis()) == 5
 
+    @pytest.mark.parametrize("value", ["fast", "-3", "0", "inf", "nan"])
+    def test_bad_env_scale_raises_naming_it(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        with pytest.raises(ValueError, match="REPRO_SCALE='%s'" % value):
+            registry.resolve_scale()
+        with pytest.raises(ValueError, match="REPRO_SCALE"):
+            get("fig10a").describe()
+
+    @pytest.mark.parametrize("value", [-2.0, 0, float("inf"),
+                                       float("nan")])
+    def test_bad_explicit_scale_raises_naming_it(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SCALE", "4")
+        with pytest.raises(ValueError, match=r"scale=%r" % value):
+            registry.resolve_scale(value)
+
+    def test_explicit_scale_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "4")
+        assert registry.resolve_scale(0.5) == 0.5
+        monkeypatch.delenv("REPRO_SCALE")
+        assert registry.resolve_scale() == 1.0
+
     def test_describe_is_jsonable(self):
         for spec in REGISTRY.values():
             json.dumps(spec.describe(scale=1.0))
@@ -190,7 +211,7 @@ class TestAdhocSweep:
         results = api.run_sweep(spec, scale=1.0, runner=runner_for(tmp_path))
         assert set(results.keys()) == {("long-few", 8), ("long-few", 16)}
         for report in results:
-            assert report.down_utilization > 0.0
+            assert report.value("down_utilization") > 0.0
 
     def test_axes_extend_cell_keys(self, tmp_path):
         spec = adhoc_sweep("t", "video", [access("noBG")], [8],
@@ -199,4 +220,4 @@ class TestAdhocSweep:
                            axes=(("resolution", ("SD",)),))
         results = api.run_sweep(spec, scale=1.0, runner=runner_for(tmp_path))
         assert set(results.keys()) == {("noBG", 8, "SD")}
-        assert results[("noBG", 8, "SD")]["ssim"] > 0.9
+        assert results[("noBG", 8, "SD")].value("ssim") > 0.9

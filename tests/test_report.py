@@ -301,7 +301,7 @@ class TestShapes:
         assert shape_gate(spread, flat)["level"] == FAIL
 
     def test_callable_column(self):
-        shape = Shape("s", lambda record: record["talks"] * 10.0,
+        shape = Shape("s", lambda record: record.value("talks") * 10.0,
                       ("w", 64), "<=", 30.0)
         assert shape_gate(shape, self.CELLS)["value"] == 30.0
 

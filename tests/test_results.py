@@ -2,7 +2,7 @@
 
 The round-trip suite executes one real cell per kind (tiny windows) and
 checks payload → record → rows/CSV/JSON → parse-back fidelity; the
-ResultSet verb tests run on synthetic records and stay sim-free.
+ResultSet tests run on synthetic records and stay sim-free.
 """
 
 import csv
@@ -16,17 +16,14 @@ from repro.results import (
     CellResult,
     QosResult,
     ResultSet,
-    StreamAggregator,
     VideoResult,
     VoipResult,
     WebResult,
-    aggregate_stream,
     flatten_metrics,
     format_buffer,
     jsonify,
     key_str,
     record_from_payload,
-    summarize,
 )
 from repro.runner import CellTask
 from repro.runner.execute import execute_task
@@ -99,49 +96,54 @@ class TestRecordRoundTrip:
 
     @pytest.mark.parametrize("kind", sorted(KIND_TASKS))
     def test_summary_matches_payload_helper(self, kind, executed):
+        # The summary is a function of the payload alone: a record of
+        # the same kind with blank axes summarizes it identically.
         task, payload = executed[kind]
         record = record_from_payload(task, payload)
-        assert record.summary() == summarize(kind, payload)
+        blank = RECORD_CLASSES[kind](scenario="", buffer_packets=0, seed=0,
+                                     discipline="", params=(),
+                                     payload=payload)
+        assert record.summary() == blank.summary()
         assert record.summary()  # non-empty
 
     def test_qos_record_revives_and_delegates(self, executed):
-        from repro.core.experiment import QosReport
+        from repro.sim.stats import five_number_summary
 
         task, payload = executed["qos"]
         record = record_from_payload(task, payload)
-        assert isinstance(record.report, QosReport)
-        assert record.report is record.report  # cached
-        assert record.down_utilization == payload["down_utilization"]
+        assert (record.value("down_utilization")
+                == payload["down_utilization"])
         assert record.buffer_packets == 16  # axis value, not payload echo
-        box = record.down_utilization_boxplot()
+        assert record.value("buffer") == 16
+        box = five_number_summary(record.payload["down_utilization_samples"])
         assert box[0] <= box[2] <= box[4]
-        assert record.qoe is None
+        assert not hasattr(record, "report")  # one way to read a cell
 
     def test_voip_record_accessors(self, executed):
         task, payload = executed["voip"]
         record = record_from_payload(task, payload)
-        assert record.directions == ("listens",)
-        assert record.mos("listens") == payload["listens"]
-        assert record.delay("listens") == payload["delay"]["listens"]
-        assert record.qoe == payload["listens"]
+        assert record.value("listens") == payload["listens"]
+        assert record.value("delay.listens") == payload["delay"]["listens"]
         assert record.metrics["delay.listens"] == payload["delay"]["listens"]
-        assert record["listens"] == payload["listens"]  # dict-style
+        assert record.payload["listens"] == payload["listens"]  # raw
 
     def test_video_and_web_accessors(self, executed):
         __, video_payload = executed["video"]
         video = record_from_payload(KIND_TASKS["video"](), video_payload)
-        assert video.ssim == video_payload["ssim"]
-        assert video.qoe == video_payload["mos"]
+        assert video.value("ssim") == video_payload["ssim"]
+        assert video.value("mos") == video_payload["mos"]
 
         __, web_payload = executed["web"]
         web = record_from_payload(KIND_TASKS["web"](), web_payload)
-        assert web.median_plt == web_payload["median_plt"]
-        assert web.plts == web_payload["plts"]  # series kept on payload
+        assert web.value("median_plt") == web_payload["median_plt"]
+        assert web.payload["plts"] == web_payload["plts"]  # series kept
         assert "plts" not in web.metrics  # ... but it is not a metric
+        with pytest.raises(KeyError):
+            web.value("plts")
 
 
 # ---------------------------------------------------------------------------
-# Sim-free ResultSet verbs on synthetic records.
+# Sim-free ResultSet behaviour on synthetic records.
 # ---------------------------------------------------------------------------
 def voip_record(scenario, packets, talks, listens, discipline="droptail",
                 index=None):
@@ -174,11 +176,12 @@ class TestResultSet:
         assert len(synthetic[1:3]) == 2
 
     def test_column_and_value_lookup(self, synthetic):
-        assert synthetic.column("talks") == [4.2, 4.1, 3.0, 1.2]
-        assert synthetic.column("buffer") == [8, 256, 8, 256]
-        assert synthetic.column("calls") == [1, 1, 1, 1]  # params
+        assert [r.value("talks") for r in synthetic] == [4.2, 4.1, 3.0, 1.2]
+        assert [r.value("buffer") for r in synthetic] == [8, 256, 8, 256]
+        assert [r.value("calls") for r in synthetic] == [1, 1, 1, 1]
+        assert synthetic.value_map("talks")[("noBG", 256, "droptail")] == 4.1
         with pytest.raises(KeyError):
-            synthetic.column("mystery")
+            synthetic[0].value("mystery")
 
     def test_filter_equality_and_membership(self, synthetic):
         assert len(synthetic.filter(scenario="noBG")) == 2
@@ -186,30 +189,6 @@ class TestResultSet:
         assert len(synthetic.filter(buffer=(8, 256))) == 4  # membership
         low = synthetic.filter(lambda r: r.value("talks") < 4.0)
         assert [r.scenario for r in low] == ["long-few", "long-few"]
-
-    def test_group_by_and_aggregate(self, synthetic):
-        groups = synthetic.group_by("scenario")
-        assert set(groups) == {"noBG", "long-few"}
-        assert len(groups["noBG"]) == 2
-        means = synthetic.aggregate("talks", agg="mean", by="scenario")
-        assert means["noBG"] == pytest.approx((4.2 + 4.1) / 2)
-        assert synthetic.aggregate("talks", agg="min") == 1.2
-        assert synthetic.aggregate("talks", agg="count") == 4
-        assert synthetic.aggregate("talks", agg="median") == pytest.approx(
-            (3.0 + 4.1) / 2)
-
-    def test_pivot_is_heatmap_shaped(self, synthetic):
-        grid = synthetic.pivot("scenario", "buffer", "talks")
-        assert grid[("long-few", 256)] == 1.2
-        assert grid[("noBG", 8)] == 4.2
-        assert len(grid) == 4
-
-    def test_sort_and_merge(self, synthetic):
-        by_talks = synthetic.sort("talks")
-        assert [r.value("talks") for r in by_talks] == [1.2, 3.0, 4.1, 4.2]
-        merged = synthetic.merge(ResultSet([voip_record("x", 8, 2.0, 2.0)]))
-        assert len(merged) == 5
-        assert len(synthetic) == 4  # merge is non-destructive
 
     def test_from_stream_restores_task_order(self, synthetic):
         shuffled = [synthetic[2], synthetic[0], synthetic[3], synthetic[1]]
@@ -228,42 +207,11 @@ class TestResultSet:
             params=(), payload={"median_plt": 1.0, "mos": 4.0,
                                 "p80_plt": 1.2, "plts": [1.0]},
             key=("w", 8))])
-        text = synthetic.merge(other).to_csv()
+        text = ResultSet(list(synthetic) + list(other)).to_csv()
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 5
         assert rows[0]["median_plt"] == ""  # missing column left empty
         assert rows[4]["median_plt"] == "1.0"
-
-
-class TestStreamingAggregation:
-    def test_matches_batch_aggregate(self, synthetic):
-        streamed = StreamAggregator("talks", by="scenario").consume(
-            synthetic).result()
-        batch = synthetic.aggregate("talks", agg="mean", by="scenario")
-        for scenario, stats in streamed.items():
-            assert stats["mean"] == pytest.approx(batch[scenario])
-        assert streamed["noBG"]["count"] == 2
-        assert streamed["long-few"]["min"] == 1.2
-        assert streamed["long-few"]["max"] == 3.0
-
-    def test_groupless_and_helper(self, synthetic):
-        flat = aggregate_stream(synthetic, "talks")
-        assert flat["count"] == 4
-        assert flat["sum"] == pytest.approx(4.2 + 4.1 + 3.0 + 1.2)
-
-    def test_empty_stream_is_not_an_all_zero_aggregate(self):
-        flat = aggregate_stream([], "talks")
-        assert flat["count"] == 0
-        assert flat["mean"] is None  # 'no data', not MOS 0.0
-        assert flat["min"] is None and flat["max"] is None
-        assert aggregate_stream([], "talks", by="scenario") == {}
-
-    def test_constant_memory_contract(self, synthetic):
-        # The aggregator must keep per-group counters, not records.
-        agg = StreamAggregator("talks", by="scenario").consume(synthetic)
-        assert len(agg._groups) == 2
-        for state in agg._groups.values():
-            assert isinstance(state, list) and len(state) == 4
 
 
 class TestConvertHelpers:

@@ -1,5 +1,7 @@
 """Tests for the parallel grid runner and its result cache."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import api
@@ -148,7 +150,21 @@ class TestGridRunner:
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert resolve_workers() == 7
         monkeypatch.setenv("REPRO_WORKERS", "banana")
-        assert resolve_workers() >= 1
+        with pytest.raises(ValueError, match="REPRO_WORKERS='banana'"):
+            resolve_workers()
+
+    @pytest.mark.parametrize("value", ["two", "-4", "0", "2.5"])
+    def test_bad_env_workers_raise_naming_it(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ValueError, match="REPRO_WORKERS='%s'" % value):
+            resolve_workers()
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            GridRunner()
+
+    @pytest.mark.parametrize("value", [0, -4, 2.5])
+    def test_bad_explicit_workers_raise_naming_it(self, value):
+        with pytest.raises(ValueError, match="workers=%r" % value):
+            resolve_workers(value)
 
     def test_workers_1_never_spawns_a_pool(self, tmp_path, monkeypatch):
         import repro.runner.grid as grid_module
@@ -160,17 +176,17 @@ class TestGridRunner:
         runner = fresh_runner(tmp_path, workers=1)
         results = run_all(runner, [qos_task(16), qos_task(32)])
         assert len(results) == 2
-        assert results[0].down_utilization > 0.0
+        assert results[0].value("down_utilization") > 0.0
 
     def test_parallel_matches_serial_and_direct(self, tmp_path):
         tasks = [qos_task(16), qos_task(32)]
-        serial = [record.report for record in run_all(
+        serial = [record.payload for record in run_all(
             fresh_runner(tmp_path / "a", workers=1), tasks)]
-        parallel = [record.report for record in run_all(
+        parallel = [record.payload for record in run_all(
             fresh_runner(tmp_path / "b", workers=2), tasks)]
-        direct = [run_qos_cell(access_scenario("long-few", "down"), packets,
-                               warmup=1.0, duration=2.0, seed=1)
-                  for packets in (16, 32)]
+        direct = [jsonify(asdict(run_qos_cell(
+            access_scenario("long-few", "down"), packets,
+            warmup=1.0, duration=2.0, seed=1))) for packets in (16, 32)]
         assert serial == parallel
         assert parallel == direct
 
@@ -178,10 +194,10 @@ class TestGridRunner:
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         tasks = [qos_task(16), qos_task(32)]
         cold = GridRunner(workers=2, cache=cache, progress=False)
-        first = [record.report for record in run_all(cold, tasks)]
+        first = [record.payload for record in run_all(cold, tasks)]
         assert cold.last_stats["computed"] == 2
         warm = GridRunner(workers=2, cache=cache, progress=False)
-        second = [record.report for record in run_all(warm, tasks)]
+        second = [record.payload for record in run_all(warm, tasks)]
         assert warm.last_stats["computed"] == 0
         assert warm.last_stats["cached"] == 2
         assert first == second
@@ -247,7 +263,7 @@ class TestGridRunner:
             tasks, keys=spec.cells(1.0)))
         assert [task for task, __ in streamed] == tasks
         for (__, record), collected in zip(streamed, batch):
-            assert record.report == collected.report
+            assert record.payload == collected.payload
             assert record.kind == "qos"
 
     def test_progress_lines_report_cells_and_eta(self, tmp_path):
@@ -269,8 +285,8 @@ class TestGridRunner:
         scores = run_voip_cell(scenario, 64, calls=1, warmup=0.5,
                                duration=2.0, seed=0,
                                directions=("listens",))
-        assert result["listens"] == median_mos(scores["listens"])
-        assert result["delay"]["listens"] == pytest.approx(
+        assert result.value("listens") == median_mos(scores["listens"])
+        assert result.value("delay.listens") == pytest.approx(
             scores["listens"][0].mouth_to_ear_delay)
 
 
@@ -299,7 +315,7 @@ class TestStudyGridsThroughRunner:
         assert [key[0] for key in serial.keys()] == ["long-few/down",
                                                      "short-few/down"]
         assert serial[0].buffer_packets == (64, 8)
-        assert serial[0].down_utilization > 0.0
+        assert serial[0].value("down_utilization") > 0.0
 
     def test_fig4_warm_cache_repeat(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), enabled=True)

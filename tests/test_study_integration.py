@@ -9,13 +9,13 @@ from repro.core.video_study import run_video_cell
 from repro.core.voip_study import median_mos, run_voip_cell
 from repro.core.web_study import run_web_cell
 from repro.report.figures import REPORT_FIGURES
-from repro.runner import GridRunner
+from repro.runner import GridRunner, ResultCache
 from repro.sim.queues import CoDelQueue
 
 
 def run_serial(spec):
     return api.run_sweep(spec, scale=1.0, runner=GridRunner(
-        workers=1, use_cache=False, progress=False))
+        workers=1, cache=ResultCache(enabled=False), progress=False))
 
 
 class TestQosStudies:
@@ -25,8 +25,8 @@ class TestQosStudies:
         results = run_serial(spec)
         assert results.keys() == [("long-few", 8), ("long-few", 64)]
         # Bigger buffer, bigger mean uplink delay.
-        assert (results[("long-few", 64)].up_mean_delay
-                > results[("long-few", 8)].up_mean_delay)
+        assert (results[("long-few", 64)].value("up_mean_delay")
+                > results[("long-few", 8)].value("up_mean_delay"))
         text = REPORT_FIGURES["fig4-up"].text(results, spec, 1.0)
         assert "UPLINK" in text and "DOWNLINK" in text
 
@@ -35,7 +35,7 @@ class TestQosStudies:
                            seed=1, warmup=3, duration=5)
         results = run_serial(spec)
         report = results[("long-many", 64)]
-        assert len(report.up_utilization_samples) >= 4
+        assert len(report.payload["up_utilization_samples"]) >= 4
         assert "utilization" in REPORT_FIGURES["fig5"].text(results, spec,
                                                             1.0)
 
